@@ -1,7 +1,9 @@
 """Command-line orchestration: check | simulate | limit | compare | diagnostics.
 
 Every output file starts with a comment line carrying the config hash and
-seed; CSV floats are written with 17 significant digits so doubles round-trip.
+seed.  CSV byte format: that meta line ends in LF, the header and every row
+end in CRLF; integer and boolean fields are written with ``%d``, floats with
+``%.17g`` (17 significant digits, so doubles round-trip) and NaN as ``nan``.
 Exit codes: 0 success (and comparison PASS), 1 comparison FAIL, 2 bad
 configuration, 3 runtime failure (reported as a JSON record on stdout).
 """
@@ -9,10 +11,9 @@ configuration, 3 runtime failure (reported as a JSON record on stdout).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
+import itertools
 import json
-import math
 import os
 import sys
 from typing import List, Optional
@@ -24,26 +25,39 @@ from .config import ExperimentConfig, config_hash, load_config
 from .errors import BrwreError, ConfigError
 from .limit_laws import EnvStream, QSample
 
-_FMT = "%.17g"
+# Rows per formatted block: one large replication must not build a giant string.
+_BLOCK_ROWS = 8192
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return _FMT % value
-
-
-def _write_csv(path: str, header: List[str], rows, meta: str) -> None:
+def _write_csv(path: str, header: List[str], row_fmt: str, blocks, meta: str) -> None:
+    """Write ``blocks`` of ``(n_rows, flat_values)``, formatting each row with ``row_fmt``."""
+    line = row_fmt + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write(meta + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(meta + "\n" + ",".join(header) + "\r\n")
+        for n_rows, flat in blocks:
+            fh.write((line * n_rows) % tuple(flat))
+
+
+def _row_blocks(rows):
+    """Writer blocks of at most ``_BLOCK_ROWS`` rows, each row a list of values."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
+        yield len(chunk), [v for row in chunk for v in row]
+
+
+def _atom_blocks(measures):
+    """Writer blocks of ``(index, location, multiplicity)`` rows, indexing ``measures``."""
+    for i, m in enumerate(measures):
+        for lo in range(0, m.n_atoms, _BLOCK_ROWS):
+            flat = [i] * (3 * min(_BLOCK_ROWS, m.n_atoms - lo))
+            flat[1::3] = m.locations[lo : lo + _BLOCK_ROWS].tolist()
+            flat[2::3] = m.multiplicities[lo : lo + _BLOCK_ROWS].tolist()
+            yield len(flat) // 3, flat
+
+
+def _write_atoms(path: str, index_name: str, measures, meta: str) -> None:
+    header = [index_name, "location", "multiplicity"]
+    _write_csv(path, header, "%d,%.17g,%d", _atom_blocks(measures), meta)
 
 
 def _meta_line(cfg: ExperimentConfig) -> str:
@@ -87,27 +101,17 @@ def _write_simulation(cfg: ExperimentConfig, n: int, outcomes) -> None:
         + [f"min{i + 1}" for i in range(k)]
         + ["W_n", "two_big_jump_flag", "restarts"]
     )
-    rows = []
-    for rep, o in enumerate(outcomes):
-        tops = [o.top[i] if i < o.top.size else float("nan") for i in range(k)]
-        bots = [o.bottom[i] if i < o.bottom.size else float("nan") for i in range(k)]
-        rows.append(
-            [rep, n, int(o.z[-1]), o.env_seq.pi[-1], o.b_n]
-            + tops
-            + bots
-            + [o.w_n, o.diagnostics.paths_with_two_big_jumps > 0, o.restarts]
-        )
-    _write_csv(os.path.join(out, f"summary_n{n}.csv"), header, rows, meta)
-    atom_rows = []
-    for rep, o in enumerate(outcomes):
-        for loc, mult in zip(o.atoms.locations, o.atoms.multiplicities):
-            atom_rows.append([rep, loc, int(mult)])
-    _write_csv(
-        os.path.join(out, f"atoms_n{n}.csv"),
-        ["rep", "location", "multiplicity"],
-        atom_rows,
-        meta,
+    row_fmt = ",".join(["%d"] * 3 + ["%.17g"] * (2 * k + 3) + ["%d"] * 2)
+    pad = [float("nan")] * k
+    rows = (
+        [rep, n, int(o.z[-1]), o.env_seq.pi[-1], o.b_n]
+        + (o.top[:k].tolist() + pad)[:k]
+        + (o.bottom[:k].tolist() + pad)[:k]
+        + [o.w_n, o.diagnostics.paths_with_two_big_jumps > 0, o.restarts]
+        for rep, o in enumerate(outcomes)
     )
+    _write_csv(os.path.join(out, f"summary_n{n}.csv"), header, row_fmt, _row_blocks(rows), meta)
+    _write_atoms(os.path.join(out, f"atoms_n{n}.csv"), "rep", [o.atoms for o in outcomes], meta)
 
 
 def cmd_simulate(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int:
@@ -156,29 +160,18 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     size = reps or cfg.limit.n_limit_samples
 
     q_samples = _draw_q_samples(cfg, size)
-    _write_csv(
-        os.path.join(out, "q_samples.csv"),
-        ["sample", "q", "w", "c_value"],
-        [[i, s.q, s.w, s.c_value] for i, s in enumerate(q_samples)],
-        meta,
-    )
+    q_rows = ([i, s.q, s.w, s.c_value] for i, s in enumerate(q_samples))
+    q_header = ["sample", "q", "w", "c_value"]
+    q_path = os.path.join(out, "q_samples.csv")
+    _write_csv(q_path, q_header, "%d,%.17g,%.17g,%.17g", _row_blocks(q_rows), meta)
 
     alpha = cfg.displacement.alpha
-    _write_csv(
-        os.path.join(out, "limit_cdf.csv"),
-        ["x", "cdf"],
-        [[x, limit_laws.limit_max_cdf(q_samples, x, alpha)] for x in cfg.comparison.grid],
-        meta,
-    )
+    cdf_rows = ([x, limit_laws.limit_max_cdf(q_samples, x, alpha)] for x in cfg.comparison.grid)
+    cdf_path = os.path.join(out, "limit_cdf.csv")
+    _write_csv(cdf_path, ["x", "cdf"], "%.17g,%.17g", _row_blocks(cdf_rows), meta)
 
     draws, _ = _draw_pp(cfg, size)
-    pp_rows = []
-    for i, m in enumerate(draws):
-        for loc, mult in zip(m.locations, m.multiplicities):
-            pp_rows.append([i, loc, int(mult)])
-    _write_csv(
-        os.path.join(out, "limit_pp.csv"), ["draw", "location", "multiplicity"], pp_rows, meta
-    )
+    _write_atoms(os.path.join(out, "limit_pp.csv"), "draw", draws, meta)
 
     stream = EnvStream(cfg.environment, _limit_rng(cfg), cfg.limit.degree_cap)
     constants = {}
@@ -203,13 +196,14 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
 def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int:
     out = _outdir(cfg)
     alpha = cfg.displacement.alpha
-    grid = np.asarray(cfg.comparison.grid)
+    grid = cfg.comparison.grid
     report = {"meta": _meta_line(cfg)[2:], "n": {}, "pass": True}
 
     q_samples = _draw_q_samples(cfg, cfg.limit.n_limit_samples)
     pp_draws, pp_scales = _draw_pp(cfg, min(cfg.limit.n_limit_samples, 4000))
     pp_floor = float(pp_scales.max()) * cfg.limit.u_min if pp_scales.size else 0.0
     limit_counts = np.array([m.count_above(cfg.comparison.count_x) for m in pp_draws])
+    limit_cdf = {x: limit_laws.limit_max_cdf(q_samples, x, alpha) for x in grid}
 
     reps = reps or cfg.simulation.replications
     all_pass = True
@@ -218,12 +212,11 @@ def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int
         _write_simulation(cfg, n, outcomes)
         alive = [o for o in outcomes if not o.extinct]
         ecdf = stats.Ecdf.from_samples([o.top[0] / o.b_n for o in alive])
-        rows = []
-        for x in grid:
-            limit_val = limit_laws.limit_max_cdf(q_samples, float(x), alpha)
-            emp = float(ecdf.eval(x))
-            rows.append({"x": float(x), "ecdf": emp, "limit_cdf": limit_val, "abs_diff": abs(emp - limit_val)})
-        ks = max(r["abs_diff"] for r in rows)
+        rows = [
+            {"x": x, "ecdf": emp, "limit_cdf": limit_cdf[x], "abs_diff": abs(emp - limit_cdf[x])}
+            for x, emp in zip(grid, ecdf.eval(grid).tolist())
+        ]
+        ks = stats.ks_distance(ecdf, limit_cdf.__getitem__, grid)
 
         finite_counts = np.array([o.atoms.count_above(cfg.comparison.count_x) for o in alive])
         tv = stats.count_distribution_tv(finite_counts, limit_counts)
@@ -233,11 +226,11 @@ def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int
         for x in grid:
             if x <= floor:
                 continue
-            f = stats.TestFunction("indicator_above", float(x))
+            f = stats.TestFunction("indicator_above", x)
             fin = stats.laplace_estimate([o.atoms for o in alive], f, cfg.simulation.retain_delta)
             lim = stats.laplace_estimate(pp_draws, f)
             laplace_rows.append(
-                {"x": float(x), "finite": fin, "limit": lim, "abs_diff": abs(fin - lim)}
+                {"x": x, "finite": fin, "limit": lim, "abs_diff": abs(fin - lim)}
             )
         lap_diff = max((r["abs_diff"] for r in laplace_rows), default=0.0)
 

@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from brwre import brw, cli
 from brwre.cli import main
 from brwre.config import (
     ComparisonSettings,
@@ -20,7 +24,8 @@ from brwre.config import (
 from brwre.displacement import DisplacementModel
 from brwre.environment import EnvironmentModel
 from brwre.errors import ConfigError
-from brwre.limit_laws import LimitConfig
+from brwre.limit_laws import LimitConfig, limit_max_cdf
+from brwre.measures import PointMeasure
 from brwre.offspring import Deterministic, Geometric, Poisson
 
 
@@ -121,6 +126,147 @@ def test_cli_simulate_rerun_byte_identical(tmp_path):
     assert main(["simulate", "--config", path]) == 0
     assert (tmp_path / "out" / "summary_n4.csv").read_bytes() == first
     assert (tmp_path / "out" / "atoms_n4.csv").read_bytes() == atoms_first
+
+
+def oracle_csv(header, rows, meta) -> bytes:
+    """Reference CSV bytes: ``csv.writer`` with a per-value format.
+
+    Ints and bools become ``%d``, NaN becomes ``nan``, other floats ``%.17g``.
+    Kept independent of the row-level writer in ``brwre.cli``.
+    """
+
+    def fmt(value) -> str:
+        if isinstance(value, (bool, np.bool_, int, np.integer)):
+            return str(int(value))
+        if isinstance(value, float) and math.isnan(value):
+            return "nan"
+        return "%.17g" % value
+
+    buf = io.StringIO(newline="")
+    buf.write(meta + "\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(v) for v in row])
+    return buf.getvalue().encode()
+
+
+def oracle_atom_rows(measures):
+    return [
+        [i, loc, mult]
+        for i, m in enumerate(measures)
+        for loc, mult in zip(m.locations, m.multiplicities)
+    ]
+
+
+def test_row_writer_matches_csv_oracle(tmp_path):
+    meta = "# config_hash=0123456789ab seed=5"
+    values = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 0.1, np.float64(-2.5)]
+    rows = [[i, x, i % 2 == 1, np.bool_(i % 3 == 0), np.int64(7 * i)] for i, x in enumerate(values)]
+    header = ["i", "x", "flag", "np_flag", "count"]
+    path = tmp_path / "rows.csv"
+    cli._write_csv(str(path), header, "%d,%.17g,%d,%d,%d", cli._row_blocks(rows), meta)
+    expected = oracle_csv(header, rows, meta)
+    assert path.read_bytes() == expected
+    assert expected.startswith(meta.encode() + b"\ni,x,flag,np_flag,count\r\n")
+    assert expected.endswith(b"\r\n") and expected.count(b"\r\n") == len(rows) + 1
+
+    # an empty measure (an extinct replication) writes no rows; a measure
+    # longer than one block is split across blocks
+    long_locs = np.arange(1, 2 * cli._BLOCK_ROWS + 6) / 3.0
+    measures = [
+        PointMeasure(
+            np.array([-np.inf, -1e300, -5e-324, 5e-324, 0.1, 1e300, np.inf]),
+            np.array([1, 2, 3, 2**40, 1, 5, 9], dtype=np.int64),
+        ),
+        PointMeasure.empty(),
+        PointMeasure(long_locs, np.arange(1, long_locs.size + 1, dtype=np.int64)),
+        PointMeasure.empty(),
+    ]
+    header = ["rep", "location", "multiplicity"]
+    path = tmp_path / "atoms.csv"
+    cli._write_atoms(str(path), "rep", measures, meta)
+    assert path.read_bytes() == oracle_csv(header, oracle_atom_rows(measures), meta)
+    cli._write_atoms(str(path), "rep", [PointMeasure.empty()], meta)
+    assert path.read_bytes() == oracle_csv(header, [], meta)
+
+
+def test_cli_csv_files_match_csv_oracle(tmp_path):
+    # Poisson(2) dies out with probability ~0.2; without survival conditioning
+    # some replications are extinct and write no atom rows and NaN extremes
+    cfg = small_config(
+        environment=EnvironmentModel.single(Poisson(2.0)),
+        simulation=SimSettings(
+            n=(3, 5), replications=30, retain_delta=0.1, top_k=3, condition_on_survival=False
+        ),
+        limit=LimitConfig(n_limit_samples=40, u_min=0.2),
+        output_dir=str(tmp_path / "out"),
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path]) == 0
+    assert main(["limit", "--config", path]) == 0
+    out = tmp_path / "out"
+    meta = cli._meta_line(load_config(path))
+    k = cfg.simulation.top_k
+
+    for n in cfg.simulation.n:
+        outcomes = brw.run_replications(cfg.sim_config(n), cfg.simulation.replications)
+        assert any(o.extinct for o in outcomes)
+        header = (
+            ["rep", "n", "Z_n", "pi_n", "B_n"]
+            + [f"M{i + 1}" for i in range(k)]
+            + [f"min{i + 1}" for i in range(k)]
+            + ["W_n", "two_big_jump_flag", "restarts"]
+        )
+        rows = []
+        for rep, o in enumerate(outcomes):
+            tops = [o.top[i] if i < o.top.size else float("nan") for i in range(k)]
+            bots = [o.bottom[i] if i < o.bottom.size else float("nan") for i in range(k)]
+            rows.append(
+                [rep, n, int(o.z[-1]), o.env_seq.pi[-1], o.b_n]
+                + tops
+                + bots
+                + [o.w_n, o.diagnostics.paths_with_two_big_jumps > 0, o.restarts]
+            )
+        summary = (out / f"summary_n{n}.csv").read_bytes()
+        assert summary == oracle_csv(header, rows, meta)
+        assert b"nan" in summary
+        atoms = (out / f"atoms_n{n}.csv").read_bytes()
+        atom_header = ["rep", "location", "multiplicity"]
+        assert atoms == oracle_csv(atom_header, oracle_atom_rows(o.atoms for o in outcomes), meta)
+
+    size = cfg.limit.n_limit_samples
+    q_samples = cli._draw_q_samples(cfg, size)
+    q_rows = [[i, s.q, s.w, s.c_value] for i, s in enumerate(q_samples)]
+    assert (out / "q_samples.csv").read_bytes() == oracle_csv(
+        ["sample", "q", "w", "c_value"], q_rows, meta
+    )
+    alpha = cfg.displacement.alpha
+    cdf_rows = [[x, limit_max_cdf(q_samples, x, alpha)] for x in cfg.comparison.grid]
+    assert (out / "limit_cdf.csv").read_bytes() == oracle_csv(["x", "cdf"], cdf_rows, meta)
+    draws, _ = cli._draw_pp(cfg, size)
+    assert (out / "limit_pp.csv").read_bytes() == oracle_csv(
+        ["draw", "location", "multiplicity"], oracle_atom_rows(draws), meta
+    )
+    for name in ("summary_n3.csv", "atoms_n5.csv", "q_samples.csv", "limit_pp.csv"):
+        first, rest = (out / name).read_bytes().split(b"\n", 1)
+        assert first == meta.encode() and not first.endswith(b"\r")
+        assert rest.count(b"\n") == rest.count(b"\r\n") > 1
+
+
+def test_cli_simulate_threads_byte_identical(tmp_path):
+    cfg = small_config(
+        environment=EnvironmentModel.single(Poisson(2.0)),
+        simulation=SimSettings(n=(3, 5), replications=12, retain_delta=0.1),
+        output_dir=str(tmp_path / "out"),
+    )
+    path = write_config(tmp_path, cfg)
+    names = ["summary_n3.csv", "atoms_n3.csv", "summary_n5.csv", "atoms_n5.csv"]
+    assert main(["simulate", "--config", path, "--threads", "1"]) == 0
+    serial = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+    assert main(["simulate", "--config", path, "--threads", "2"]) == 0
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == serial[name], name
 
 
 def test_cli_population_cap_error_record(tmp_path, capsys):
