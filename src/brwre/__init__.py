@@ -6,7 +6,6 @@ from .brw import (
     BrwOutcome,
     SimConfig,
     diagnostics_report,
-    extremal_process,
     replication_rng,
     run_replications,
     simulate,
@@ -45,8 +44,6 @@ from .limit_laws import (
     cluster_norm_series,
     joint_min_max_cdf,
     limit_max_cdf,
-    sample_cluster_R,
-    sample_cluster_VR,
     sample_limit_point_process,
     sample_martingale_limit,
     sample_q,
@@ -64,7 +61,6 @@ from .offspring import (
     TruncatedPMF,
     extinct_prob_by_gen,
     generation_size_pmf,
-    sample,
 )
 from .stats import Ecdf, TestFunction, count_distribution_tv, ks_distance, laplace_estimate
 

@@ -2,9 +2,10 @@
 
 The streaming simulator keeps one flat array per particle attribute and never
 revisits the genealogy; a deliberately naive twin materialises the full
-labelled tree and recomputes everything from scratch.  Both consume random
-draws in the identical order (per generation: child counts, then the batched
-brood displacements), so equal seeds must give bit-identical outcomes.
+labelled tree and recomputes everything from scratch.  Both run under one
+survival-restart driver and consume random draws in the identical order (per
+generation: child counts, then the batched brood displacements), so equal
+seeds must give bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -89,195 +90,176 @@ def draw_generation(law, disp: DisplacementModel, n_parents: int, rng, cap: int)
     return counts, brood_flat(disp, counts, rng)
 
 
-def _empty_outcome(env_seq, z, b, restarts, n) -> BrwOutcome:
-    diags = Diagnostics(0, np.zeros(n + 1, dtype=np.int64), None)
-    return BrwOutcome(
-        env_seq=env_seq,
-        z=z,
-        b_n=b,
-        atoms=PointMeasure.empty(),
-        top=np.empty(0),
-        bottom=np.empty(0),
-        w_n=0.0,
-        diagnostics=diags,
-        restarts=restarts,
+def _replicate(config: SimConfig, rng, grow) -> BrwOutcome:
+    """The survival-restart driver shared by both simulators.
+
+    ``grow(config, env_seq, b, rng)`` returns the generation sizes and
+    ``(atoms, top, bottom, diagnostics)``, or None if the population died out.
+    """
+    if rng is None:
+        rng = replication_rng(config.seed, 0)
+    n = config.n
+    restarts = 0
+    while True:
+        env_seq = sample_env(config.env, n, rng)
+        b = norming_constant(env_seq.pi[n], config.disp.alpha)
+        z, final = grow(config, env_seq, b, rng)
+        if final is None:
+            if config.condition_on_survival:
+                restarts += 1
+                continue
+            empty_diags = Diagnostics(0, np.zeros(n + 1, dtype=np.int64), None)
+            final = (PointMeasure.empty(), np.empty(0), np.empty(0), empty_diags)
+        atoms, top, bottom, diags = final
+        return BrwOutcome(
+            env_seq=env_seq,
+            z=z,
+            b_n=b,
+            atoms=atoms,
+            top=top,
+            bottom=bottom,
+            w_n=float(z[n] / env_seq.pi[n]),
+            diagnostics=diags,
+            restarts=restarts,
+        )
+
+
+def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
+    """Flat per-particle arrays, updated generation by generation."""
+    n = config.n
+    thr_jump = config.jump_eta * b
+    thr_big = config.retain_delta * b
+    track = config.track_argmax_jump
+    pos = np.zeros(1)
+    jumps = np.zeros(1, dtype=np.int16)
+    best_abs = np.zeros(1)
+    best_gen = np.zeros(1, dtype=np.int16)
+    z = np.zeros(n + 1, dtype=np.int64)
+    z[0] = 1
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for g in range(n):
+        counts, x = draw_generation(
+            env_seq.laws[g], config.disp, pos.size, rng, config.population_cap
+        )
+        total = x.size
+        if total == 0:
+            return z, None
+        z[g + 1] = total
+        absx = np.abs(x)
+        big = absx > thr_jump
+        hist[g + 1] = int(big.sum()) if thr_big == thr_jump else int((absx > thr_big).sum())
+        jumps = np.repeat(jumps, counts)
+        jumps += big
+        rep_pos = np.repeat(pos, counts)
+        np.add(rep_pos, x, out=rep_pos)
+        pos = rep_pos
+        if track:
+            rep_best = np.repeat(best_abs, counts)
+            bigger = absx > rep_best
+            np.maximum(rep_best, absx, out=rep_best)
+            best_abs = rep_best
+            best_gen = np.where(bigger, np.int16(g + 1), np.repeat(best_gen, counts))
+
+    k = min(config.top_k, pos.size)
+    top = np.sort(np.partition(pos, pos.size - k)[pos.size - k :])[::-1].copy()
+    bottom = np.sort(np.partition(pos, k - 1)[:k])
+    keep = np.abs(pos) > config.retain_delta * b
+    atoms = PointMeasure.from_locations(pos[keep] / b)
+    diags = Diagnostics(
+        paths_with_two_big_jumps=int((jumps >= 2).sum()),
+        big_jump_generations=hist,
+        max_leaf_jump_gen=int(best_gen[int(np.argmax(pos))]) if track else None,
     )
+    return z, (atoms, top, bottom, diags)
 
 
 def simulate(config: SimConfig, rng=None) -> BrwOutcome:
     """One replication; restarts with a fresh environment until survival
     when ``condition_on_survival`` is set."""
-    if rng is None:
-        rng = replication_rng(config.seed, 0)
+    return _replicate(config, rng, _grow_streaming)
+
+
+def _grow_full_tree(config: SimConfig, env_seq: EnvSequence, b: float, rng):
+    """Materialise every labelled vertex, then walk each leaf's ancestry."""
     n = config.n
-    restarts = 0
-    while True:
-        env_seq = sample_env(config.env, n, rng)
-        b = norming_constant(env_seq.pi[n], config.disp.alpha)
-        thr_jump = config.jump_eta * b
-        thr_big = config.retain_delta * b
-
-        track = config.track_argmax_jump
-        pos = np.zeros(1)
-        jumps = np.zeros(1, dtype=np.int16)
-        best_abs = np.zeros(1)
-        best_gen = np.zeros(1, dtype=np.int16)
-        z = np.zeros(n + 1, dtype=np.int64)
-        z[0] = 1
-        hist = np.zeros(n + 1, dtype=np.int64)
-        extinct_at = None
-        for g in range(n):
-            counts, x = draw_generation(
-                env_seq.laws[g], config.disp, pos.size, rng, config.population_cap
-            )
-            total = x.size
-            if total == 0:
-                extinct_at = g + 1
-                break
-            z[g + 1] = total
-            absx = np.abs(x)
-            big = absx > thr_jump
-            hist[g + 1] = int(big.sum()) if thr_big == thr_jump else int((absx > thr_big).sum())
-            jumps = np.repeat(jumps, counts)
-            jumps += big
-            rep_pos = np.repeat(pos, counts)
-            np.add(rep_pos, x, out=rep_pos)
-            pos = rep_pos
-            if track:
-                rep_best = np.repeat(best_abs, counts)
-                bigger = absx > rep_best
-                np.maximum(rep_best, absx, out=rep_best)
-                best_abs = rep_best
-                best_gen = np.where(bigger, np.int16(g + 1), np.repeat(best_gen, counts))
-
-        if extinct_at is not None:
-            if config.condition_on_survival:
-                restarts += 1
-                continue
-            return _empty_outcome(env_seq, z, b, restarts, n)
-
-        k = min(config.top_k, pos.size)
-        top = np.sort(np.partition(pos, pos.size - k)[pos.size - k :])[::-1].copy()
-        bottom = np.sort(np.partition(pos, k - 1)[:k])
-        keep = np.abs(pos) > config.retain_delta * b
-        atoms = PointMeasure.from_locations(pos[keep] / b)
-        diags = Diagnostics(
-            paths_with_two_big_jumps=int((jumps >= 2).sum()),
-            big_jump_generations=hist,
-            max_leaf_jump_gen=int(best_gen[int(np.argmax(pos))]) if track else None,
+    # generations[g] = (parent index array, displacement array)
+    generations = [(np.array([-1]), np.array([0.0]))]
+    for g in range(n):
+        n_parents = generations[g][0].size
+        counts, x = draw_generation(
+            env_seq.laws[g], config.disp, n_parents, rng, config.population_cap
         )
-        return BrwOutcome(
-            env_seq=env_seq,
-            z=z,
-            b_n=b,
-            atoms=atoms,
-            top=top,
-            bottom=bottom,
-            w_n=float(z[n] / env_seq.pi[n]),
-            diagnostics=diags,
-            restarts=restarts,
-        )
+        if x.size == 0:
+            break
+        parent = np.repeat(np.arange(n_parents), counts)
+        generations.append((parent, x))
+
+    z = np.zeros(n + 1, dtype=np.int64)
+    for g, (parent, _) in enumerate(generations):
+        z[g] = parent.size
+    if len(generations) <= n:
+        return z, None
+
+    leaves = generations[n][0].size
+    positions = np.zeros(leaves)
+    two_jump_paths = 0
+    best_abs = np.zeros(leaves)
+    best_gen = np.zeros(leaves, dtype=np.int64)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    thr_jump = config.jump_eta * b
+    thr_big = config.retain_delta * b
+    for g in range(1, n + 1):
+        hist[g] = int((np.abs(generations[g][1]) > thr_big).sum())
+    for leaf in range(leaves):
+        node = leaf
+        path = []
+        for g in range(n, 0, -1):
+            parent, x = generations[g]
+            path.append(float(x[node]))
+            node = int(parent[node])
+        path.reverse()
+        # accumulate root-to-leaf so the float additions associate the
+        # same way as in the streaming simulator
+        total = 0.0
+        n_big = 0
+        for g, step in enumerate(path, start=1):
+            total += step
+            if abs(step) > thr_jump:
+                n_big += 1
+            if abs(step) > best_abs[leaf]:
+                best_abs[leaf] = abs(step)
+                best_gen[leaf] = g
+        positions[leaf] = total
+        if n_big >= 2:
+            two_jump_paths += 1
+
+    order = np.argsort(positions)
+    k = min(config.top_k, leaves)
+    top = positions[order][-k:][::-1].copy()
+    bottom = positions[order][:k].copy()
+    grouped = {}
+    for value in positions:
+        if abs(value) > config.retain_delta * b:
+            key = value / b
+            grouped[key] = grouped.get(key, 0) + 1
+    locs = sorted(grouped)
+    atoms = PointMeasure(np.array(locs), np.array([grouped[v] for v in locs], dtype=np.int64))
+    arg = int(np.argmax(positions))
+    diags = Diagnostics(
+        paths_with_two_big_jumps=two_jump_paths,
+        big_jump_generations=hist,
+        max_leaf_jump_gen=int(best_gen[arg]) if config.track_argmax_jump else None,
+    )
+    return z, (atoms, top, bottom, diags)
 
 
 def simulate_naive(config: SimConfig, rng=None) -> BrwOutcome:
     """Full-tree oracle: materialise every labelled vertex, recompute
-    positions by walking each leaf's ancestry, aggregate from scratch."""
-    if rng is None:
-        rng = replication_rng(config.seed, 0)
-    n = config.n
-    restarts = 0
-    while True:
-        env_seq = sample_env(config.env, n, rng)
-        b = norming_constant(env_seq.pi[n], config.disp.alpha)
-        # generations[g] = (parent index array, displacement array)
-        generations = [(np.array([-1]), np.array([0.0]))]
-        extinct_at = None
-        for g in range(n):
-            n_parents = generations[g][0].size
-            counts, x = draw_generation(
-                env_seq.laws[g], config.disp, n_parents, rng, config.population_cap
-            )
-            if x.size == 0:
-                extinct_at = g + 1
-                break
-            parent = np.repeat(np.arange(n_parents), counts)
-            generations.append((parent, x))
+    positions by walking each leaf's ancestry, aggregate from scratch.
 
-        z = np.zeros(n + 1, dtype=np.int64)
-        for g, (parent, _) in enumerate(generations):
-            z[g] = parent.size
-        if extinct_at is not None:
-            if config.condition_on_survival:
-                restarts += 1
-                continue
-            return _empty_outcome(env_seq, z, b, restarts, n)
-
-        leaves = generations[n][0].size
-        positions = np.zeros(leaves)
-        two_jump_paths = 0
-        best_abs = np.zeros(leaves)
-        best_gen = np.zeros(leaves, dtype=np.int64)
-        hist = np.zeros(n + 1, dtype=np.int64)
-        thr_jump = config.jump_eta * b
-        thr_big = config.retain_delta * b
-        for g in range(1, n + 1):
-            hist[g] = int((np.abs(generations[g][1]) > thr_big).sum())
-        for leaf in range(leaves):
-            node = leaf
-            path = []
-            for g in range(n, 0, -1):
-                parent, x = generations[g]
-                path.append(float(x[node]))
-                node = int(parent[node])
-            path.reverse()
-            # accumulate root-to-leaf so the float additions associate the
-            # same way as in the streaming simulator
-            total = 0.0
-            n_big = 0
-            for g, step in enumerate(path, start=1):
-                total += step
-                if abs(step) > thr_jump:
-                    n_big += 1
-                if abs(step) > best_abs[leaf]:
-                    best_abs[leaf] = abs(step)
-                    best_gen[leaf] = g
-            positions[leaf] = total
-            if n_big >= 2:
-                two_jump_paths += 1
-
-        order = np.argsort(positions)
-        k = min(config.top_k, leaves)
-        top = positions[order][-k:][::-1].copy()
-        bottom = positions[order][:k].copy()
-        grouped = {}
-        for value in positions:
-            if abs(value) > config.retain_delta * b:
-                key = value / b
-                grouped[key] = grouped.get(key, 0) + 1
-        locs = sorted(grouped)
-        atoms = PointMeasure(np.array(locs), np.array([grouped[v] for v in locs], dtype=np.int64))
-        arg = int(np.argmax(positions))
-        diags = Diagnostics(
-            paths_with_two_big_jumps=two_jump_paths,
-            big_jump_generations=hist,
-            max_leaf_jump_gen=int(best_gen[arg]) if config.track_argmax_jump else None,
-        )
-        return BrwOutcome(
-            env_seq=env_seq,
-            z=z,
-            b_n=b,
-            atoms=atoms,
-            top=top,
-            bottom=bottom,
-            w_n=float(z[n] / env_seq.pi[n]),
-            diagnostics=diags,
-            restarts=restarts,
-        )
-
-
-def extremal_process(outcome: BrwOutcome) -> PointMeasure:
-    """The retained normalised positions of one replication."""
-    return outcome.atoms
+    It shares the restart driver and ``draw_generation`` with
+    :func:`simulate`, but none of its aggregation."""
+    return _replicate(config, rng, _grow_full_tree)
 
 
 def _run_chunk(config: SimConfig, reps: range) -> List[BrwOutcome]:

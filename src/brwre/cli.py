@@ -86,11 +86,6 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _simulate_one_n(cfg: ExperimentConfig, n: int, reps: int, threads: int):
-    sim = cfg.sim_config(n)
-    return brw.run_replications(sim, reps, threads)
-
-
 def _write_simulation(cfg: ExperimentConfig, n: int, outcomes) -> None:
     out = _outdir(cfg)
     meta = _meta_line(cfg)
@@ -117,7 +112,7 @@ def _write_simulation(cfg: ExperimentConfig, n: int, outcomes) -> None:
 def cmd_simulate(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int:
     reps = reps or cfg.simulation.replications
     for n in cfg.simulation.n:
-        outcomes = _simulate_one_n(cfg, n, reps, threads)
+        outcomes = brw.run_replications(cfg.sim_config(n), reps, threads)
         _write_simulation(cfg, n, outcomes)
         survived = sum(not o.extinct for o in outcomes)
         print(f"n={n}: {len(outcomes)} replications written ({survived} surviving)")
@@ -130,12 +125,8 @@ _Q_STREAM = 0xA5A50001
 _PP_STREAM = 0xA5A50002
 
 
-def _limit_rng(cfg: ExperimentConfig):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, _Q_STREAM))))
-
-
 def _draw_q_samples(cfg: ExperimentConfig, size: int) -> List[QSample]:
-    rng = _limit_rng(cfg)
+    rng = brw.replication_rng(cfg.seed, _Q_STREAM)
     return [
         limit_laws.sample_q(cfg.displacement, cfg.environment, cfg.limit, rng)
         for _ in range(size)
@@ -143,7 +134,7 @@ def _draw_q_samples(cfg: ExperimentConfig, size: int) -> List[QSample]:
 
 
 def _draw_pp(cfg: ExperimentConfig, size: int):
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, _PP_STREAM))))
+    rng = brw.replication_rng(cfg.seed, _PP_STREAM)
     draws, scales = [], np.empty(size)
     for i in range(size):
         m, s = limit_laws.sample_limit_point_process(
@@ -173,7 +164,7 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     draws, _ = _draw_pp(cfg, size)
     _write_atoms(os.path.join(out, "limit_pp.csv"), "draw", draws, meta)
 
-    stream = EnvStream(cfg.environment, _limit_rng(cfg), cfg.limit.degree_cap)
+    stream = EnvStream(cfg.environment, brw.replication_rng(cfg.seed, _Q_STREAM), cfg.limit.degree_cap)
     constants = {}
     for kind in limit_laws.SERIES_KINDS:
         sv = limit_laws.cluster_norm_series(kind, stream, cfg.limit)
@@ -208,7 +199,7 @@ def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int
     reps = reps or cfg.simulation.replications
     all_pass = True
     for n in cfg.simulation.n:
-        outcomes = _simulate_one_n(cfg, n, reps, threads)
+        outcomes = brw.run_replications(cfg.sim_config(n), reps, threads)
         _write_simulation(cfg, n, outcomes)
         alive = [o for o in outcomes if not o.extinct]
         ecdf = stats.Ecdf.from_samples([o.top[0] / o.b_n for o in alive])
@@ -270,7 +261,7 @@ def cmd_diagnostics(cfg: ExperimentConfig, reps: Optional[int], threads: int) ->
     rho = cfg.simulation.early_rho
     doc = {"meta": _meta_line(cfg)[2:], "rho": rho, "n": {}}
     for n in cfg.simulation.n:
-        outcomes = _simulate_one_n(cfg, n, reps, threads)
+        outcomes = brw.run_replications(cfg.sim_config(n), reps, threads)
         diag = brw.diagnostics_report(outcomes, rho)
         doc["n"][str(n)] = diag
         print(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import yaml
@@ -14,39 +15,50 @@ from .displacement import DisplacementModel
 from .environment import EnvironmentModel
 from .errors import ConfigError
 from .limit_laws import LimitConfig
-from .offspring import Binomial, Deterministic, Finite, Geometric, OffspringLaw, Poisson
+from .offspring import FAMILIES, OffspringLaw
+
+
+def _integral(value, what: str) -> int:
+    """``value`` as an int; integral floats such as 2.0 pass, fractions and booleans do not."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _reals(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+# Law field type (as annotated) -> reader of its config value.
+_READERS = {"int": _integral, "float": lambda value, what: float(value), "tuple": _reals}
+
+
+def _fields_doc(obj) -> dict:
+    """A dataclass's fields as a config mapping, tuples as lists."""
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(obj).items()}
 
 
 def law_to_dict(law: OffspringLaw) -> dict:
-    if isinstance(law, Deterministic):
-        return {"family": "deterministic", "k": law.k}
-    if isinstance(law, Poisson):
-        return {"family": "poisson", "lam": law.lam}
-    if isinstance(law, Geometric):
-        return {"family": "geometric", "q": law.q}
-    if isinstance(law, Binomial):
-        return {"family": "binomial", "m": law.m, "q": law.q}
-    if isinstance(law, Finite):
-        return {"family": "finite", "probs": list(law.probs)}
+    for family, cls in FAMILIES.items():
+        if isinstance(law, cls):
+            return {"family": family, **_fields_doc(law)}
     raise ConfigError(f"unknown offspring law {law!r}")
 
 
 def law_from_dict(doc: dict) -> OffspringLaw:
     try:
         family = doc["family"]
-        if family == "deterministic":
-            return Deterministic(int(doc["k"]))
-        if family == "poisson":
-            return Poisson(float(doc["lam"]))
-        if family == "geometric":
-            return Geometric(float(doc["q"]))
-        if family == "binomial":
-            return Binomial(int(doc["m"]), float(doc["q"]))
-        if family == "finite":
-            return Finite(tuple(float(p) for p in doc["probs"]))
+        cls = FAMILIES.get(family)
+        if cls is None:
+            raise ConfigError(f"unknown offspring family {family!r}")
+        values = {f.name: _READERS[f.type](doc[f.name], f"{family}.{f.name}") for f in fields(cls)}
+        return cls(**values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid offspring law {doc!r}: {exc}") from exc
-    raise ConfigError(f"unknown offspring family {doc.get('family')!r}")
 
 
 @dataclass(frozen=True)
@@ -61,11 +73,12 @@ class SimSettings:
     early_rho: int = 10
 
     def __post_init__(self):
-        if len(self.n) == 0 or any(int(v) < 1 for v in self.n):
+        n = tuple(_integral(v, "simulation.n") for v in self.n)
+        if len(n) == 0 or min(n) < 1:
             raise ConfigError("simulation.n must be a nonempty list of positive integers")
         if self.replications < 1:
             raise ConfigError("need at least one replication")
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)
@@ -119,9 +132,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "weights": list(cfg.environment.weights),
         },
         "displacement": disp,
-        "simulation": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(cfg.simulation).items()},
+        "simulation": _fields_doc(cfg.simulation),
         "limit": asdict(cfg.limit),
-        "comparison": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(cfg.comparison).items()},
+        "comparison": _fields_doc(cfg.comparison),
     }
 
 
@@ -134,26 +147,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
         disp_doc = dict(doc["displacement"])
         mode = disp_doc.get("mode", "iid")
-        if mode == "discrete_angular":
-            disp = DisplacementModel(
-                alpha=float(disp_doc["alpha"]),
-                p=float(disp_doc["p"]),
-                mode=mode,
-                atoms=tuple(tuple(float(x) for x in row) for row in disp_doc["atoms"]),
-                weights=tuple(float(w) for w in disp_doc["weights"]),
-            )
-        else:
-            disp = DisplacementModel(
-                alpha=float(disp_doc["alpha"]), p=float(disp_doc["p"]), mode=mode
-            )
+        angular = mode == "discrete_angular"
+        disp = DisplacementModel(
+            alpha=float(disp_doc["alpha"]),
+            p=float(disp_doc["p"]),
+            mode=mode,
+            atoms=tuple(tuple(float(x) for x in row) for row in disp_doc["atoms"]) if angular else (),
+            weights=tuple(float(w) for w in disp_doc["weights"]) if angular else (),
+        )
         sim = SimSettings(**{**doc.get("simulation", {}), "n": tuple(doc["simulation"]["n"])})
         limit = LimitConfig(**doc.get("limit", {}))
-        comparison = ComparisonSettings(
-            **{
-                k: (tuple(v) if k == "grid" else v)
-                for k, v in doc.get("comparison", {}).items()
-            }
-        )
+        comparison = ComparisonSettings(**doc.get("comparison", {}))
         return ExperimentConfig(
             environment=env,
             displacement=disp,

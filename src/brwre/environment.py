@@ -34,11 +34,8 @@ class EnvironmentModel:
     def single(cls, law: OffspringLaw) -> "EnvironmentModel":
         return cls((law,), (1.0,))
 
-    def cum_weights(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.weights))
-
     def draw_indices(self, rng, n: int) -> np.ndarray:
-        return np.searchsorted(self.cum_weights(), rng.random(n), side="right")
+        return np.searchsorted(np.cumsum(np.asarray(self.weights)), rng.random(n), side="right")
 
     def min_support_mean(self) -> float:
         return min(law.mean() for law in self.support)
@@ -76,7 +73,6 @@ class AssumptionReport:
     e_log_mean: float
     e_abs_log_p_gt1: float
     kesten_stigum_term: float
-    n_samples: int
     verdict: str  # "SupercriticalOK" | "Violated"
     reason: Optional[str] = None
 
@@ -100,12 +96,11 @@ def _xlogx_tail_sum(law: OffspringLaw) -> float:
     return total
 
 
-def check_assumptions(model: EnvironmentModel, mc_samples: int = 0, rng=None) -> AssumptionReport:
+def check_assumptions(model: EnvironmentModel) -> AssumptionReport:
     """Evaluate the supercriticality and moment conditions for a model.
 
     All implemented families admit closed-form or truncated-closed-form
-    moments, so the evaluation is deterministic; ``mc_samples``/``rng`` are
-    accepted for laws that would need sampling and are currently unused.
+    moments, so the evaluation is deterministic.
     """
     weights = np.asarray(model.weights)
     e_log_mean = 0.0
@@ -129,7 +124,6 @@ def check_assumptions(model: EnvironmentModel, mc_samples: int = 0, rng=None) ->
         e_log_mean=e_log_mean,
         e_abs_log_p_gt1=e_abs_log,
         kesten_stigum_term=ks_term,
-        n_samples=0,
         verdict=verdict,
         reason=reason,
     )

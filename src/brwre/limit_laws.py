@@ -5,15 +5,17 @@ environment with cached mean products, extinction probabilities and truncated
 generation-size pmfs, all indexed so that entry i describes the population
 grown for i generations with the newest drawn law at the root.
 
-The normalizing series are summed with a certified geometric tail bound; the
-cluster samplers draw a generation index from the series terms and then the
-size (or brood vector) from the cached truncated pmfs, falling back to direct
+The normalizing series are summed by one loop with a geometric tail bound
+(a certificate only when every support law has mean > 1); the cluster
+samplers draw a generation index from the series terms and then the size (or
+brood vector) from the cached truncated pmfs, falling back to direct
 population simulation for the rare mass past the degree cap.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -77,7 +79,6 @@ class QSample:
 
     q: float
     w: float
-    env_prime_summary: tuple
     c_value: float
 
 
@@ -88,7 +89,6 @@ class EnvStream:
         self.model = model
         self.degree_cap = degree_cap
         self._rng = rng
-        self._indices: List[int] = []
         self._laws: List = []
         self._pi: List[float] = [1.0]
         self._extinct: List[float] = [0.0]
@@ -96,9 +96,7 @@ class EnvStream:
 
     def _extend(self, i: int) -> None:
         while len(self._laws) <= i:
-            idx = int(self.model.draw_indices(self._rng, 1)[0])
-            law = self.model.support[idx]
-            self._indices.append(idx)
+            law = self.model.support[int(self.model.draw_indices(self._rng, 1)[0])]
             self._laws.append(law)
             self._pi.append(self._pi[-1] * law.mean())
             self._extinct.append(law.pgf(self._extinct[-1]))
@@ -109,14 +107,12 @@ class EnvStream:
 
     def pi(self, i: int) -> float:
         """Expected size after i generations (product of the first i means)."""
-        if i > 0:
-            self._extend(i - 1)
+        self._extend(i - 1)
         return self._pi[i]
 
     def extinct_prob(self, i: int) -> float:
         """P(Z_i = 0) for the i-generation population, newest law at the root."""
-        if i > 0:
-            self._extend(i - 1)
+        self._extend(i - 1)
         return self._extinct[i]
 
     def gen_size_pmf(self, i: int) -> TruncatedPMF:
@@ -138,54 +134,60 @@ class EnvStream:
                 break
         return z
 
-    @property
-    def indices_used(self) -> tuple:
-        return tuple(self._indices)
+
+# Series kind -> (term i on a stream, index shift of the 1/pi in its tail bound).
+_SERIES = {
+    # sum of 1/pi_i
+    "inverse_mean": (lambda s, i: 1.0 / s.pi(i), 0),
+    # sum of P(Z_i >= 1)/pi_i
+    "cluster_size": (lambda s, i: (1.0 - s.extinct_prob(i)) / s.pi(i), 0),
+    # normalizer of the nonzero brood-vector law:
+    # sum_v P(Z_1 = v)(1 - e_i^v) collapses to 1 - f_i(e_i) = 1 - e_{i+1}
+    "cluster_vector": (lambda s, i: (1.0 - s.law(i).pgf(s.extinct_prob(i))) / s.pi(i + 1), 1),
+    # same without the extinct-vector exclusion
+    "cluster_vector_leafless": (lambda s, i: (1.0 - s.law(i).pmf(0)) / s.pi(i + 1), 1),
+    # sum of 1/pi_{i+1}: the generation-index weights of brood-vector draws
+    "_inverse_mean_next": (lambda s, i: 1.0 / s.pi(i + 1), 1),
+}
+SERIES_KINDS = tuple(kind for kind in _SERIES if not kind.startswith("_"))
 
 
-SERIES_KINDS = (
-    "inverse_mean",  # sum of 1/pi_i
-    "cluster_size",  # sum of P(Z_i >= 1)/pi_i
-    "cluster_vector",  # normalizer of the nonzero brood-vector law
-    "cluster_vector_leafless",  # same without the extinct-vector exclusion
-)
+def _certified_sum(
+    term, stream: EnvStream, cfg: LimitConfig, shift: int, name: str
+) -> Tuple[SeriesValue, np.ndarray]:
+    """Sum ``term(0) + term(1) + ...`` until a geometric tail bound stops it.
 
-
-def _series_terms(kind: str, stream: EnvStream, cfg: LimitConfig) -> Tuple[SeriesValue, np.ndarray]:
-    """Sum the quenched series with a certified geometric tail bound."""
-    shifted = kind in ("cluster_vector", "cluster_vector_leafless", "_inverse_mean_next")
+    After term i the rest is bounded by (1/pi_{i+shift}) / (growth - 1): each
+    term j is at most 1/pi_{j+shift}, and pi is taken to grow at least
+    geometrically at rate ``growth``.  The bound certifies the tail
+    only when every support law has mean > 1 (``growth`` is then the smallest
+    support mean).  Otherwise ``growth`` is the smallest realized mean of the
+    last ``_GROWTH_WINDOW`` laws, a heuristic: a slower future of the stream
+    can leave a truncation error above the reported ``tail_bound``.
+    """
     g_model = stream.model.min_support_mean()
     terms: List[float] = []
     value = 0.0
-    recent: List[float] = []
+    recent = deque(maxlen=_GROWTH_WINDOW)
     for i in range(cfg.max_terms):
-        if kind == "inverse_mean":
-            term = 1.0 / stream.pi(i)
-        elif kind == "cluster_size":
-            term = (1.0 - stream.extinct_prob(i)) / stream.pi(i)
-        elif kind == "cluster_vector":
-            # sum_v P(Z_1 = v)(1 - e_i^v) collapses to 1 - f_i(e_i) = 1 - e_{i+1}
-            term = (1.0 - stream.law(i).pgf(stream.extinct_prob(i))) / stream.pi(i + 1)
-        elif kind == "cluster_vector_leafless":
-            term = (1.0 - stream.law(i).pmf(0)) / stream.pi(i + 1)
-        elif kind == "_inverse_mean_next":
-            term = 1.0 / stream.pi(i + 1)
-        else:
-            raise ValueError(f"unknown series kind {kind!r}")
-        terms.append(term)
-        value += term
+        t = term(i)
+        terms.append(t)
+        value += t
         recent.append(stream.law(i).mean())
-        if len(recent) > _GROWTH_WINDOW:
-            recent.pop(0)
         growth = g_model if g_model > 1.0 else min(recent)
         if growth > 1.0 and value > 0.0:
-            denom = stream.pi(i + 1) if shifted else stream.pi(i)
-            tail = (1.0 / denom) / (growth - 1.0)
+            tail = (1.0 / stream.pi(i + shift)) / (growth - 1.0)
             if tail < cfg.series_tol * value:
                 return SeriesValue(value, tail, i + 1), np.asarray(terms)
-    raise NonGeometricGrowth(
-        f"series {kind!r} did not certify its tail within {cfg.max_terms} terms"
-    )
+    raise NonGeometricGrowth(f"{name} did not certify its tail within {cfg.max_terms} terms")
+
+
+def _series_terms(kind: str, stream: EnvStream, cfg: LimitConfig) -> Tuple[SeriesValue, np.ndarray]:
+    """Sum one quenched series kind; returns the value and the summed terms."""
+    if kind not in _SERIES:
+        raise ValueError(f"unknown series kind {kind!r}")
+    term, shift = _SERIES[kind]
+    return _certified_sum(lambda i: term(stream, i), stream, cfg, shift, f"series {kind!r}")
 
 
 def cluster_norm_series(kind: str, stream: EnvStream, cfg: LimitConfig) -> SeriesValue:
@@ -196,10 +198,7 @@ def cluster_norm_series(kind: str, stream: EnvStream, cfg: LimitConfig) -> Serie
     normalizer), ``cluster_vector`` (brood-vector law excluding the all-dead
     vector) and ``cluster_vector_leafless`` (no exclusion).
     """
-    if kind not in SERIES_KINDS:
-        raise ValueError(f"unknown series kind {kind!r}")
-    sv, _ = _series_terms(kind, stream, cfg)
-    return sv
+    return _series_terms(kind, stream, cfg)[0]
 
 
 def sample_martingale_limit(
@@ -294,23 +293,10 @@ class ClusterSampler:
         """P(cluster size = 1): the chance one big jump shows up alone."""
         total = 0.0
         for i in range(self._size_cum.size):
-            if i == 0:
-                total += 1.0 / self.stream.pi(0)
-                continue
             pmf = self.stream.gen_size_pmf(i)
             if pmf.degree >= 1:
                 total += pmf.probs[1] / self.stream.pi(i)
         return total / self.size_norm.value
-
-
-def sample_cluster_R(stream: EnvStream, cfg: LimitConfig, rng) -> int:
-    """One cluster-size draw; see :meth:`ClusterSampler.sample_size`."""
-    return ClusterSampler(stream, cfg).sample_size(rng)
-
-
-def sample_cluster_VR(stream: EnvStream, cfg: LimitConfig, rng) -> Tuple[int, np.ndarray]:
-    """One brood-vector draw; see :meth:`ClusterSampler.sample_brood_vector`."""
-    return ClusterSampler(stream, cfg).sample_brood_vector(rng)
 
 
 def _pattern_sums(model: DisplacementModel, v: int, cache: dict) -> np.ndarray:
@@ -347,10 +333,8 @@ def _general_q_series(
     if disp.mode == "discrete_angular" and max(vmaxes) > disp.n_coords:
         raise ValueError("progeny support exceeds the angular coordinate count")
     cache: dict = {}
-    g_model = stream.model.min_support_mean()
-    value = 0.0
-    recent: List[float] = []
-    for i in range(cfg.max_terms):
+
+    def term(i: int) -> float:
         law = stream.law(i)
         e_i = stream.extinct_prob(i)
         inner = 0.0
@@ -361,17 +345,10 @@ def _general_q_series(
             sums = _pattern_sums(disp, v, cache)
             ks = np.arange(1, v + 1)
             inner += pv * float((1.0 - e_i ** ks) @ sums[1:])
-        value += inner / stream.pi(i + 1)
-        recent.append(law.mean())
-        if len(recent) > _GROWTH_WINDOW:
-            recent.pop(0)
-        growth = g_model if g_model > 1.0 else min(recent)
-        if growth > 1.0 and value > 0.0:
-            # each term is at most p * 1/pi_i (single-coordinate union bound)
-            tail = (1.0 / stream.pi(i)) / (growth - 1.0)
-            if tail < cfg.series_tol * value:
-                return SeriesValue(value, tail, i + 1)
-    raise NonGeometricGrowth("pattern series did not certify its tail")
+        return inner / stream.pi(i + 1)
+
+    # each term is at most p * 1/pi_i (single-coordinate union bound)
+    return _certified_sum(term, stream, cfg, 0, "pattern series")[0]
 
 
 def sample_q(
@@ -406,7 +383,7 @@ def sample_q(
         q = w * disp.p * sv.value
     else:
         raise ValueError("discrete_angular mode has no shortcut; use the general method")
-    return QSample(q=q, w=w, env_prime_summary=stream.indices_used, c_value=sv.value)
+    return QSample(q=q, w=w, c_value=sv.value)
 
 
 def limit_max_cdf(q_samples: List[QSample], x: float, alpha: float) -> float:
@@ -440,11 +417,7 @@ def top_two_cdf(
     process is cluster-decorated, and its own top-two law is
     :func:`top_two_cdf_multiplicity_adjusted`.
     """
-    if not 0.0 < x <= y:
-        raise ArgumentOrder("top-two law needs 0 < x <= y")
-    t = np.array([s.w * s.c_value for s in q_samples])
-    xa = x ** -alpha
-    return float(np.mean(np.exp(-p * t * xa) * (1.0 + p * t * (xa - y ** -alpha))))
+    return top_two_cdf_multiplicity_adjusted(q_samples, x, y, alpha, p, np.ones(len(q_samples)))
 
 
 def top_two_cdf_multiplicity_adjusted(
@@ -494,8 +467,7 @@ def sample_limit_point_process(
     if disp.mode == "iid":
         c = sampler.size_norm.value
     else:
-        c, _ = _series_terms("cluster_vector", stream, cfg)
-        c = c.value
+        c = cluster_norm_series("cluster_vector", stream, cfg).value
     scale = (c * w) ** inv_alpha
 
     rate = cfg.u_min ** -disp.alpha

@@ -247,22 +247,14 @@ class Finite:
 
 OffspringLaw = Union[Deterministic, Poisson, Geometric, Binomial, Finite]
 
-
-def sample(law: OffspringLaw, rng) -> int:
-    """One progeny draw from ``law``."""
-    return int(law.sample_many(rng, 1)[0])
-
-
-def mean(law: OffspringLaw) -> float:
-    return law.mean()
-
-
-def pmf(law: OffspringLaw, k: int) -> float:
-    return law.pmf(k)
-
-
-def pgf_eval(law: OffspringLaw, s: float) -> float:
-    return law.pgf(s)
+# Config family name -> law class; the dataclass fields are the config keys.
+FAMILIES = {
+    "deterministic": Deterministic,
+    "poisson": Poisson,
+    "geometric": Geometric,
+    "binomial": Binomial,
+    "finite": Finite,
+}
 
 
 @dataclass

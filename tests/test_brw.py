@@ -6,7 +6,6 @@ import pytest
 from brwre.brw import (
     SimConfig,
     diagnostics_report,
-    extremal_process,
     replication_rng,
     run_replications,
     simulate,
@@ -24,7 +23,9 @@ IID21 = DisplacementModel.iid(2.0, 1.0)
 
 def outcomes_equal(a, b) -> bool:
     return (
-        np.array_equal(a.z, b.z)
+        np.array_equal(a.env_seq.law_indices, b.env_seq.law_indices)
+        and np.array_equal(a.env_seq.pi, b.env_seq.pi)
+        and np.array_equal(a.z, b.z)
         and a.b_n == b.b_n
         and np.array_equal(a.top, b.top)
         and np.array_equal(a.bottom, b.bottom)
@@ -132,12 +133,6 @@ def test_two_jump_zero_for_single_generation():
     assert report["early_jump_fraction"] == 0.0  # rho = n leaves no early window
 
 
-def test_extremal_process_accessor():
-    cfg = SimConfig(n=4, env=BINARY, disp=IID21, seed=8)
-    o = simulate(cfg)
-    assert extremal_process(o) is o.atoms
-
-
 def test_retention_threshold_empties_measure():
     cfg = SimConfig(n=3, env=BINARY, disp=IID21, retain_delta=1e9, seed=8)
     assert simulate(cfg).atoms.n_atoms == 0
@@ -176,6 +171,24 @@ def test_streaming_equals_naive_oracle(rng):
     for _ in range(25):
         cfg = _random_config(rng)
         assert outcomes_equal(simulate(cfg), simulate_naive(cfg)), cfg
+    # fixed inputs for the restart driver's branches: restart, extinct outcome
+    for conditioned in (True, False):
+        cfg = SimConfig(
+            n=4, env=EnvironmentModel.single(Poisson(1.2)), disp=IID21,
+            condition_on_survival=conditioned, seed=3,
+        )
+        fast = [simulate(cfg, replication_rng(3, r)) for r in range(20)]
+        slow = [simulate_naive(cfg, replication_rng(3, r)) for r in range(20)]
+        assert all(outcomes_equal(a, b) for a, b in zip(fast, slow))
+        if conditioned:
+            assert any(o.restarts > 0 for o in fast)
+        else:
+            assert any(o.extinct for o in fast)
+    # argmax-jump tracking off, as in the kernel-mixture-n16 workload
+    cfg = SimConfig(n=6, env=MIXTURE, disp=IID21, seed=4, track_argmax_jump=False)
+    fast, slow = simulate(cfg), simulate_naive(cfg)
+    assert outcomes_equal(fast, slow)
+    assert fast.diagnostics.max_leaf_jump_gen is None
 
 
 def test_threaded_replications_match_serial():

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
@@ -19,6 +20,7 @@ from brwre.config import (
     config_hash,
     config_to_dict,
     dump_config,
+    law_from_dict,
     load_config,
 )
 from brwre.displacement import DisplacementModel
@@ -26,7 +28,7 @@ from brwre.environment import EnvironmentModel
 from brwre.errors import ConfigError
 from brwre.limit_laws import LimitConfig, limit_max_cdf
 from brwre.measures import PointMeasure
-from brwre.offspring import Deterministic, Geometric, Poisson
+from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
 
 
 def small_config(**kw) -> ExperimentConfig:
@@ -45,7 +47,10 @@ def small_config(**kw) -> ExperimentConfig:
 
 def test_round_trip_structural_identity():
     cfg = small_config(
-        environment=EnvironmentModel((Poisson(2.0), Geometric(0.4)), (0.25, 0.75)),
+        environment=EnvironmentModel(
+            (Deterministic(2), Poisson(2.0), Geometric(0.4), Binomial(3, 0.8), Finite((0.2, 0.3, 0.5))),
+            (0.1, 0.2, 0.3, 0.25, 0.15),
+        ),
         displacement=DisplacementModel.diagonal_angular(1.5, 3, 0.8),
     )
     again = config_from_dict(config_to_dict(cfg))
@@ -86,6 +91,27 @@ def test_invalid_configs_rejected(tmp_path):
     bad.write_text("environment: [not, a, mapping]")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+    # integer and vector fields are never coerced silently
+    for law in (
+        {"family": "deterministic", "k": 2.5},
+        {"family": "deterministic", "k": True},
+        {"family": "binomial", "m": 3.7, "q": 0.5},
+        {"family": "finite", "probs": "01"},
+    ):
+        with pytest.raises(ConfigError):
+            law_from_dict(law)
+    assert law_from_dict({"family": "deterministic", "k": 2.0}) == Deterministic(2)
+    doc = config_to_dict(small_config())
+    for n in ([14.6], [True]):
+        doc["simulation"]["n"] = n
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+    doc["simulation"]["n"] = [14.0]
+    assert config_from_dict(doc).simulation.n == (14,)
+    doc["simulation"]["n"] = [14.6]
+    path = tmp_path / "frac.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["check", "--config", str(path)]) == 2
 
 
 def write_config(tmp_path, cfg) -> str:

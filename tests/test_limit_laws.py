@@ -15,8 +15,6 @@ from brwre.limit_laws import (
     cluster_norm_series,
     joint_min_max_cdf,
     limit_max_cdf,
-    sample_cluster_R,
-    sample_cluster_VR,
     sample_limit_point_process,
     sample_martingale_limit,
     sample_q,
@@ -172,16 +170,10 @@ def test_cluster_size_poisson_vs_assembled_pmf(rng):
     assert stat < st.chi2.ppf(0.99, keep.sum())
 
 
-def test_cluster_size_one_shot_wrapper(rng):
-    stream = fresh_stream(BINARY, rng)
-    draws = {sample_cluster_R(stream, CFG, rng) for _ in range(30)}
-    assert all(r >= 1 and (r & (r - 1)) == 0 for r in draws)
-
-
 def test_cluster_vector_binary(rng):
-    stream = fresh_stream(BINARY, rng)
+    sampler = ClusterSampler(fresh_stream(BINARY, rng), CFG)
     for _ in range(40):
-        v, sizes = sample_cluster_VR(stream, CFG, rng)
+        v, sizes = sampler.sample_brood_vector(rng)
         assert v == 2
         assert sizes[0] == sizes[1]
         assert sizes[0] >= 1 and (sizes[0] & (sizes[0] - 1)) == 0  # power of two
@@ -227,7 +219,6 @@ def test_q_binary_iid_exact(rng):
         assert s.q == pytest.approx(2.0 * p, rel=1e-8)
         assert s.w == 1.0
         assert s.c_value == pytest.approx(2.0, rel=1e-8)
-        assert len(s.env_prime_summary) >= 1
 
 
 def test_q_binary_full_dep_exact(rng):
@@ -271,7 +262,7 @@ def test_q_angular_matches_full_dep_per_sample(rng):
 
 
 def test_limit_max_cdf_degenerate():
-    samples = [QSample(q=3.0, w=1.0, env_prime_summary=(), c_value=3.0)] * 4
+    samples = [QSample(q=3.0, w=1.0, c_value=3.0)] * 4
     for x in (0.5, 1.0, 2.0):
         assert limit_max_cdf(samples, x, 2.0) == pytest.approx(math.exp(-3.0 * x ** -2.0))
 
@@ -282,17 +273,17 @@ def test_limit_max_cdf_binary_value(rng):
 
 
 def test_limit_max_cdf_monotone_to_one():
-    samples = [QSample(q=2.0, w=1.0, env_prime_summary=(), c_value=2.0)]
+    samples = [QSample(q=2.0, w=1.0, c_value=2.0)]
     vals = [limit_max_cdf(samples, x, 2.0) for x in (1.0, 5.0, 50.0, 5000.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.999999
 
 
 def test_limit_max_cdf_homogeneity_algebraic():
-    samples = [QSample(q=q, w=1.0, env_prime_summary=(), c_value=q) for q in (0.5, 2.0, 7.0)]
+    samples = [QSample(q=q, w=1.0, c_value=q) for q in (0.5, 2.0, 7.0)]
     s = 1.7
     scaled = [
-        QSample(q=q.q * s ** 2.0, w=q.w, env_prime_summary=(), c_value=q.c_value)
+        QSample(q=q.q * s ** 2.0, w=q.w, c_value=q.c_value)
         for q in samples
     ]
     for x in (0.8, 1.0, 2.5):

@@ -14,7 +14,6 @@ from brwre.offspring import (
     compose_generation,
     extinct_prob_by_gen,
     generation_size_pmf,
-    sample,
 )
 
 LAW_POOL = [
@@ -94,10 +93,6 @@ def test_sampling_matches_pmf(law, rng):
         assert abs((draws == k).mean() - p) < 3 * se + 1e-9
     mean_se = draws.std() / math.sqrt(n)
     assert abs(draws.mean() - law.mean()) < 3 * mean_se + 1e-9
-
-
-def test_sample_deterministic_point_mass(rng):
-    assert sample(Deterministic(2), rng) == 2
 
 
 def test_finite_half_half(rng):

@@ -1,0 +1,81 @@
+"""Digest every CLI output of the shipped configs, as a refactor oracle.
+
+Runs ``check``, ``simulate``, ``limit``, ``compare`` and ``diagnostics`` on
+each ``configs/*.yaml`` of this checkout, in process through
+``brwre.cli.main``, each command into its own directory ``<config>/<command>``
+under a temporary working directory.  Prints one ``sha256  path`` line per
+output file and per command's stdout (path ``<config>/<command>/stdout``),
+and one ``exit N  <config>/<command>`` line per command.  Paths are relative
+to the temporary directory, so the listings of two checkouts can be compared
+with ``diff``:
+
+    python3 tools/output_digests.py --reps 20 --threads 1 > new.txt
+    python3 <other checkout>/tools/output_digests.py --reps 20 --threads 1 > old.txt
+    diff old.txt new.txt
+
+Data files are byte-identical across reruns and ``--threads`` values, so any
+line that differs is a change in output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from brwre.cli import main as brwre_main  # noqa: E402
+
+COMMANDS = ("check", "simulate", "limit", "compare", "diagnostics")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_config(config: str, reps: int, threads: int) -> list:
+    """Digest lines of every command on ``config``, writing below the working directory."""
+    name = os.path.splitext(os.path.basename(config))[0]
+    lines = []
+    for command in COMMANDS:
+        # relative, because the output directory is part of the config hash
+        out = f"{name}/{command}"
+        argv = [command, "--config", config, "--out", out, "--reps", str(reps), "--threads", str(threads)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = brwre_main(argv)
+        lines.append(f"exit {code}  {name}/{command}")
+        lines.append(f"{sha256(stdout.getvalue().encode())}  {name}/{command}/stdout")
+        for fname in sorted(os.listdir(out)):
+            with open(os.path.join(out, fname), "rb") as fh:
+                lines.append(f"{sha256(fh.read())}  {name}/{command}/{fname}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--reps", type=int, default=20, help="--reps of every command: replications, or limit draws for limit")
+    parser.add_argument("--threads", type=int, default=1, help="worker processes for replications")
+    args = parser.parse_args(argv)
+    configs = sorted(
+        os.path.join(ROOT, "configs", f) for f in os.listdir(os.path.join(ROOT, "configs")) if f.endswith(".yaml")
+    )
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for config in configs:
+                print("\n".join(digest_config(config, args.reps, args.threads)), flush=True)
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
