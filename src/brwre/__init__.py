@@ -38,6 +38,7 @@ from .errors import (
 from .limit_laws import (
     ClusterSampler,
     EnvStream,
+    GenSizeCache,
     LimitConfig,
     QSample,
     SeriesValue,

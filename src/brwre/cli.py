@@ -135,10 +135,12 @@ def _draw_q_samples(cfg: ExperimentConfig, size: int) -> List[QSample]:
 
 def _draw_pp(cfg: ExperimentConfig, size: int):
     rng = brw.replication_rng(cfg.seed, _PP_STREAM)
+    # one pmf cache per call: it must not outlive the command
+    cache = limit_laws.GenSizeCache(cfg.environment, cfg.limit.degree_cap)
     draws, scales = [], np.empty(size)
     for i in range(size):
         m, s = limit_laws.sample_limit_point_process(
-            cfg.displacement, cfg.environment, cfg.limit, rng
+            cfg.displacement, cfg.environment, cfg.limit, rng, cache
         )
         draws.append(m)
         scales[i] = s

@@ -27,6 +27,16 @@ def _integral(value, what: str) -> int:
     return int(value)
 
 
+def _known(doc, allowed, what: str) -> dict:
+    """``doc`` itself, once it is a mapping whose keys all lie in ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a mapping, got {doc!r}")
+    unknown = sorted(map(str, set(doc) - set(allowed)))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys {unknown}; known keys are {sorted(allowed)}")
+    return doc
+
+
 def _reals(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
@@ -55,10 +65,18 @@ def law_from_dict(doc: dict) -> OffspringLaw:
         cls = FAMILIES.get(family)
         if cls is None:
             raise ConfigError(f"unknown offspring family {family!r}")
+        _known(doc, ["family"] + [f.name for f in fields(cls)], f"{family} law")
         values = {f.name: _READERS[f.type](doc[f.name], f"{family}.{f.name}") for f in fields(cls)}
         return cls(**values)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid offspring law {doc!r}: {exc}") from exc
+
+
+def _settings(cls, doc, what: str):
+    """A settings dataclass from its config block: known keys only, ``int`` fields whole numbers."""
+    types = {f.name: f.type for f in fields(cls)}
+    _known(doc, types, what)
+    return cls(**{k: _integral(v, f"{what}.{k}") if types[k] == "int" else v for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -140,14 +158,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     try:
-        env_doc = doc["environment"]
+        _known(doc, [f.name for f in fields(ExperimentConfig)], "top-level")
+        env_doc = _known(doc["environment"], ("support", "weights"), "environment")
         env = EnvironmentModel(
             tuple(law_from_dict(d) for d in env_doc["support"]),
             tuple(float(w) for w in env_doc["weights"]),
         )
-        disp_doc = dict(doc["displacement"])
+        disp_doc = _known(doc["displacement"], ("mode", "alpha", "p", "atoms", "weights"), "displacement")
         mode = disp_doc.get("mode", "iid")
         angular = mode == "discrete_angular"
+        if not angular and ("atoms" in disp_doc or "weights" in disp_doc):
+            raise ConfigError(f"displacement mode {mode!r} takes no atoms or weights")
         disp = DisplacementModel(
             alpha=float(disp_doc["alpha"]),
             p=float(disp_doc["p"]),
@@ -155,16 +176,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             atoms=tuple(tuple(float(x) for x in row) for row in disp_doc["atoms"]) if angular else (),
             weights=tuple(float(w) for w in disp_doc["weights"]) if angular else (),
         )
-        sim = SimSettings(**{**doc.get("simulation", {}), "n": tuple(doc["simulation"]["n"])})
-        limit = LimitConfig(**doc.get("limit", {}))
-        comparison = ComparisonSettings(**doc.get("comparison", {}))
         return ExperimentConfig(
             environment=env,
             displacement=disp,
-            simulation=sim,
-            limit=limit,
-            comparison=comparison,
-            seed=int(doc.get("seed", 0)),
+            simulation=_settings(SimSettings, doc["simulation"], "simulation"),
+            limit=_settings(LimitConfig, doc.get("limit", {}), "limit"),
+            comparison=_settings(ComparisonSettings, doc.get("comparison", {}), "comparison"),
+            seed=_integral(doc.get("seed", 0), "seed"),
             output_dir=str(doc.get("output_dir", "out")),
         )
     except ConfigError:

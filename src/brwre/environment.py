@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,6 +20,8 @@ class EnvironmentModel:
 
     support: tuple
     weights: tuple
+    # cumulative weights for draw_indices; derived, so not part of eq or repr
+    _cum_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.support) == 0 or len(self.support) != len(self.weights):
@@ -29,13 +31,16 @@ class EnvironmentModel:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        cum = np.cumsum(np.asarray(self.weights))
+        cum.flags.writeable = False
+        object.__setattr__(self, "_cum_weights", cum)
 
     @classmethod
     def single(cls, law: OffspringLaw) -> "EnvironmentModel":
         return cls((law,), (1.0,))
 
     def draw_indices(self, rng, n: int) -> np.ndarray:
-        return np.searchsorted(np.cumsum(np.asarray(self.weights)), rng.random(n), side="right")
+        return np.searchsorted(self._cum_weights, rng.random(n), side="right")
 
     def min_support_mean(self) -> float:
         return min(law.mean() for law in self.support)

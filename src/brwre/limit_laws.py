@@ -3,7 +3,9 @@
 Everything quenched lives on an :class:`EnvStream`: a lazily realized i.i.d.
 environment with cached mean products, extinction probabilities and truncated
 generation-size pmfs, all indexed so that entry i describes the population
-grown for i generations with the newest drawn law at the root.
+grown for i generations with the newest drawn law at the root.  The pmfs come
+from a :class:`GenSizeCache`, which streams of one command may share: the pmf
+of Z_i depends only on the laws of generations 0..i-1.
 
 The normalizing series are summed by one loop with a geometric tail bound
 (a certificate only when every support law has mean > 1); the cluster
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +41,10 @@ _GROWTH_WINDOW = 8
 # to ~1e-6 relative accuracy; the conditional mean is preserved exactly.
 _FREEZE_POPULATION = 1_000_000_000_000
 _REJECTION_CAP = 1_000_000
+# Bytes of pmf coefficients one GenSizeCache stores; past it, pmfs are
+# composed as before but no longer kept (no eviction: the shallow prefixes,
+# stored first, are the ones most draws reach).
+_CACHE_BYTES = 64 << 20
 # Pattern enumeration is 2^v; refuse silly brood sizes.
 _MAX_PATTERN_BROOD = 20
 
@@ -82,13 +88,52 @@ class QSample:
     c_value: float
 
 
-class EnvStream:
-    """A lazily drawn independent environment with cached quenched data."""
+class GenSizeCache:
+    """Truncated pmfs of Z_i keyed by the law indices of generations 0..i-1.
 
-    def __init__(self, model: EnvironmentModel, rng, degree_cap: int):
+    Composition is deterministic, so every stream that draws the same index
+    prefix gets the same pmf, bit for bit.  Bound to one environment model
+    and degree cap; stored ``probs`` are read-only because streams share them.
+    At most ``_CACHE_BYTES`` of coefficients are kept.
+    """
+
+    def __init__(self, model: EnvironmentModel, degree_cap: int):
         self.model = model
         self.degree_cap = degree_cap
+        self.nbytes = 0
+        self._pmfs: Dict[Tuple[int, ...], TruncatedPMF] = {}
+
+    def __len__(self) -> int:
+        return len(self._pmfs)
+
+    def extend(self, prefix: Tuple[int, ...], law, base: TruncatedPMF) -> TruncatedPMF:
+        """The pmf of ``prefix``: ``base`` (the pmf of ``prefix[:-1]``) under ``law``."""
+        pmf = self._pmfs.get(prefix)
+        if pmf is None:
+            pmf = compose_generation(law, base, self.degree_cap)
+            pmf.probs.flags.writeable = False
+            if self.nbytes + pmf.probs.nbytes <= _CACHE_BYTES:
+                self._pmfs[prefix] = pmf
+                self.nbytes += pmf.probs.nbytes
+        return pmf
+
+
+class EnvStream:
+    """A lazily drawn independent environment with cached quenched data.
+
+    Without ``cache`` the stream composes its pmfs into a private
+    :class:`GenSizeCache`; pass one to share them with other streams.
+    """
+
+    def __init__(self, model: EnvironmentModel, rng, degree_cap: int, cache: Optional[GenSizeCache] = None):
+        if cache is None:
+            cache = GenSizeCache(model, degree_cap)
+        elif cache.model != model or cache.degree_cap != degree_cap:
+            raise ValueError("the pmf cache is bound to another environment model or degree cap")
+        self.model = model
         self._rng = rng
+        self._cache = cache
+        self._indices: List[int] = []
         self._laws: List = []
         self._pi: List[float] = [1.0]
         self._extinct: List[float] = [0.0]
@@ -96,7 +141,9 @@ class EnvStream:
 
     def _extend(self, i: int) -> None:
         while len(self._laws) <= i:
-            law = self.model.support[int(self.model.draw_indices(self._rng, 1)[0])]
+            k = int(self.model.draw_indices(self._rng, 1)[0])
+            law = self.model.support[k]
+            self._indices.append(k)
             self._laws.append(law)
             self._pi.append(self._pi[-1] * law.mean())
             self._extinct.append(law.pgf(self._extinct[-1]))
@@ -116,10 +163,11 @@ class EnvStream:
         return self._extinct[i]
 
     def gen_size_pmf(self, i: int) -> TruncatedPMF:
-        """Truncated pmf of Z_i; cached, extended by outer composition."""
+        """Truncated pmf of Z_i, extended by outer composition through the cache."""
         while len(self._pmfs) <= i:
             j = len(self._pmfs)
-            self._pmfs.append(compose_generation(self.law(j - 1), self._pmfs[-1], self.degree_cap))
+            law = self.law(j - 1)
+            self._pmfs.append(self._cache.extend(tuple(self._indices[:j]), law, self._pmfs[-1]))
         return self._pmfs[i]
 
     def simulate_population(self, i: int, rng) -> int:
@@ -451,6 +499,7 @@ def sample_limit_point_process(
     env_model: EnvironmentModel,
     cfg: LimitConfig,
     rng,
+    cache: Optional[GenSizeCache] = None,
 ) -> Tuple[PointMeasure, float]:
     """One draw of the limit extremal process, plus its realized scale.
 
@@ -458,10 +507,12 @@ def sample_limit_point_process(
     every point carries a cluster drawn from the quenched laws of a fresh
     environment, and the whole picture is scaled by
     (series * martingale_limit)^(1/alpha).  Atoms below scale * u_min are not
-    represented, so test functionals must stay above that floor.
+    represented, so test functionals must stay above that floor.  Draws that
+    share ``cache`` share its generation-size pmfs; the draw itself is the
+    same with or without it.
     """
     w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng)
-    stream = EnvStream(env_model, rng, cfg.degree_cap)
+    stream = EnvStream(env_model, rng, cfg.degree_cap, cache)
     sampler = ClusterSampler(stream, cfg)
     inv_alpha = 1.0 / disp.alpha
     if disp.mode == "iid":

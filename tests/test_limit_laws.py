@@ -7,9 +7,11 @@ from scipy import stats as st
 from brwre.displacement import DisplacementModel
 from brwre.environment import EnvironmentModel
 from brwre.errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode
+from brwre import limit_laws
 from brwre.limit_laws import (
     ClusterSampler,
     EnvStream,
+    GenSizeCache,
     LimitConfig,
     QSample,
     cluster_norm_series,
@@ -395,3 +397,84 @@ def test_pp_angular_atoms(rng):
     signs = np.asarray(signs)
     frac = (signs > 0).mean()
     assert abs(frac - 0.75) < 3 * math.sqrt(0.75 * 0.25 / signs.size)
+
+
+# ------------------------------------------------------------- shared pmf cache
+
+
+def _pp_draws(disp, env, cfg, seed, n, cache=None):
+    rng = np.random.default_rng(seed)
+    draws = [sample_limit_point_process(disp, env, cfg, rng, cache) for _ in range(n)]
+    return draws, rng.random()  # the next value shows the rng was read at the same points
+
+
+def _assert_same_draws(a, b):
+    (draws_a, next_a), (draws_b, next_b) = a, b
+    assert next_a == next_b and len(draws_a) == len(draws_b)
+    for (m0, s0), (m1, s1) in zip(draws_a, draws_b):
+        assert s0 == s1
+        assert m0.locations.tobytes() == m1.locations.tobytes()
+        assert m0.multiplicities.tobytes() == m1.multiplicities.tobytes()
+
+
+@pytest.mark.parametrize("env", [MIXTURE, POISSON2], ids=["mixture", "single"])
+def test_pp_shared_cache_bit_identical(env):
+    cfg = LimitConfig(u_min=0.2)
+    disp = DisplacementModel.iid(2.0, 1.0)
+    cache = GenSizeCache(env, cfg.degree_cap)
+    _assert_same_draws(_pp_draws(disp, env, cfg, 7, 40), _pp_draws(disp, env, cfg, 7, 40, cache))
+    assert len(cache) > 0
+
+
+def test_pp_shared_cache_composes_each_depth_once(monkeypatch):
+    cfg = LimitConfig(u_min=0.2, degree_cap=512)
+    disp = DisplacementModel.iid(2.0, 1.0)
+    calls = []
+    compose = limit_laws.compose_generation
+
+    def counted(law, base, degree_cap):
+        calls.append(law)
+        return compose(law, base, degree_cap)
+
+    monkeypatch.setattr(limit_laws, "compose_generation", counted)
+    cache = GenSizeCache(POISSON2, cfg.degree_cap)
+    _pp_draws(disp, POISSON2, cfg, 3, 60, cache)
+    depth = len(cache)
+    # one law: the prefix of depth d is d zeros, composed once over all draws
+    assert len(calls) == depth > 1
+    assert sorted(cache._pmfs) == [(0,) * d for d in range(1, depth + 1)]
+    calls.clear()
+    _pp_draws(disp, POISSON2, cfg, 3, 60)
+    assert len(calls) > depth  # unshared, every draw recomposes its depths
+
+
+def test_pp_zero_cache_budget_stores_nothing(monkeypatch):
+    cfg = LimitConfig(u_min=0.2)
+    disp = DisplacementModel.iid(2.0, 1.0)
+    plain = _pp_draws(disp, MIXTURE, cfg, 11, 20)
+    monkeypatch.setattr(limit_laws, "_CACHE_BYTES", 0)
+    cache = GenSizeCache(MIXTURE, cfg.degree_cap)
+    _assert_same_draws(plain, _pp_draws(disp, MIXTURE, cfg, 11, 20, cache))
+    assert len(cache) == 0 and cache.nbytes == 0
+
+
+def test_cached_pmfs_are_read_only(rng):
+    cache = GenSizeCache(MIXTURE, CFG.degree_cap)
+    stream = EnvStream(MIXTURE, rng, CFG.degree_cap, cache)
+    pmf = stream.gen_size_pmf(4)
+    assert len(cache) == 4 and cache.nbytes > 0
+    assert not pmf.probs.flags.writeable
+    with pytest.raises(ValueError):
+        pmf.probs[0] = 1.0
+
+
+def test_cache_bound_to_model_and_degree_cap(rng):
+    cache = GenSizeCache(MIXTURE, 4096)
+    EnvStream(EnvironmentModel((Poisson(2.0), Poisson(3.0)), (0.5, 0.5)), rng, 4096, cache)
+    with pytest.raises(ValueError):
+        EnvStream(POISSON2, rng, 4096, cache)
+    with pytest.raises(ValueError):
+        EnvStream(MIXTURE, rng, 1024, cache)
+    with pytest.raises(ValueError):
+        disp = DisplacementModel.iid(2.0, 1.0)
+        sample_limit_point_process(disp, MIXTURE, LimitConfig(degree_cap=1024), rng, cache)
