@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -478,3 +479,16 @@ def test_cache_bound_to_model_and_degree_cap(rng):
     with pytest.raises(ValueError):
         disp = DisplacementModel.iid(2.0, 1.0)
         sample_limit_point_process(disp, MIXTURE, LimitConfig(degree_cap=1024), rng, cache)
+
+
+def test_near_critical_draws_finish(rng):
+    # Poisson(1.3) once returned all 4097 coefficients, and these five draws
+    # took 9.6 s composing its pmfs by convolution powers
+    env = EnvironmentModel.single(Poisson(1.3))
+    disp = DisplacementModel(alpha=2.0, p=1.0, mode="iid")
+    cfg = LimitConfig(u_min=0.2)
+    cache = GenSizeCache(env, cfg.degree_cap)
+    t0 = time.perf_counter()
+    for _ in range(5):
+        sample_limit_point_process(disp, env, cfg, rng, cache)
+    assert time.perf_counter() - t0 < 5.0

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -230,3 +233,93 @@ def test_compose_spills_to_mass_beyond():
     squeezed = compose_generation(Deterministic(3), base, 16)  # 27 > 16
     assert squeezed.probs.sum() == pytest.approx(0.0, abs=1e-15)
     assert squeezed.mass_beyond == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pgf_many_matches_scalar_pgf():
+    s_grid = np.linspace(0.0, 1.0, 9)
+    for law in LAW_POOL:
+        many = law.pgf_many(s_grid + 0j)
+        assert np.abs(many - [law.pgf(float(s)) for s in s_grid]).max() < 1e-15
+
+
+@pytest.mark.parametrize("law", LAW_POOL + [
+    Poisson(1.3), Poisson(2.5), Poisson(4.0), Binomial(2000, 0.5), Finite((0.5, 0.5, 0.0)),
+])
+def test_coefficients_end_at_last_nonzero(law):
+    coeffs, _ = law.coefficients(4096)
+    assert coeffs[-1] > 0.0
+
+
+def test_poisson_coefficients_stop_past_underflow():
+    # the running sum stalls below 1 - 1e-16 for this rate; the list must
+    # still end where the terms underflow, not at the cap
+    assert len(Poisson(2.5).coefficients(4096)[0]) < 300
+
+
+def _exact_compose(law, base: np.ndarray, cap: int) -> np.ndarray:
+    """Truncated sum_k P(law = k) base^{*k} by direct convolution powers.
+
+    The law's coefficients run past the cap (a zero-heavy base puts mass of
+    many copies below it) until they fall under 1e-20 beyond the mean.
+    """
+    coeffs = [law.pmf(0)]
+    k = 0
+    while law.support_max is None or k < law.support_max:
+        k += 1
+        coeffs.append(law.pmf(k))
+        if law.support_max is None and k > law.mean() and coeffs[-1] < 1e-20:
+            break
+    out = np.zeros(cap + 1)
+    out[0] = coeffs[0]
+    power = np.ones(1)
+    for c in coeffs[1:]:
+        power = np.convolve(power, base)[: cap + 1]
+        out[: power.size] += c * power
+        if power.sum() < 1e-18:
+            break
+    return out
+
+
+def _assert_matches_exact(law, base: TruncatedPMF, exact_base: np.ndarray, cap: int):
+    """One FFT compose step against the exact one; returns both results."""
+    pmf = compose_generation(law, base, cap)
+    exact = _exact_compose(law, exact_base, cap)
+    fft = np.zeros(cap + 1)
+    fft[: pmf.probs.size] = pmf.probs
+    diff = np.abs(fft - exact).max()
+    assert diff <= pmf.error_bound
+    assert diff <= 1e-12
+    assert np.all(pmf.probs >= 0.0)
+    assert abs(pmf.probs.sum() + pmf.mass_beyond - 1.0) <= 1e-12
+    return pmf, exact
+
+
+@pytest.mark.parametrize("cap", [16, 64, 512, 4096])
+@pytest.mark.parametrize("law", LAW_POOL)
+def test_compose_matches_exact_convolution(law, cap):
+    pmf = exact = TruncatedPMF(np.array([0.0, 1.0]), 0.0)
+    exact = pmf.probs
+    for _ in range(6):
+        pmf, exact = _assert_matches_exact(law, pmf, exact, cap)
+
+
+def test_compose_matches_exact_convolution_spilled():
+    base = generation_size_pmf([Deterministic(3)] * 2, 4096)  # point mass at 9
+    _assert_matches_exact(Deterministic(3), base, base.probs, 16)
+
+
+def test_compose_matches_exact_convolution_near_critical():
+    # Poisson(1.3): its 187 coefficients filled the full cap at depth 12
+    pmf = TruncatedPMF(np.array([0.0, 1.0]), 0.0)
+    exact = pmf.probs
+    for _ in range(12):
+        pmf, exact = _assert_matches_exact(Poisson(1.3), pmf, exact, 4096)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import brwre, sys; assert 'scipy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

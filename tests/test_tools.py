@@ -1,0 +1,49 @@
+import importlib.util
+import json
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write_run(checkout, workload, seed, wall_s):
+    out = os.path.join(checkout, ".perfbench_out")
+    os.makedirs(out, exist_ok=True)
+    result = {
+        "attempted": 5,
+        "failed": 0,
+        "metrics": {name: {"value": wall_s if name == "wall_s" else 1.0, "unit": "s"}
+                    for name in ("setup_s", "wall_s", "cpu_s")},
+        "env": {"python": "3", "numpy": "2", "nproc": 2, "machine": "x86_64"},
+    }
+    with open(os.path.join(out, f"{workload}-seed{seed}-trace0.json"), "w") as fh:
+        json.dump(result, fh)
+
+
+def test_bench_record_pairs_seeds_and_applies_gain_rule(tmp_path):
+    bench_record = _load_tool("bench_record")
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    old = [1.0, 1.1, 0.9, 1.2, 1.0, 1.05, 0.95, 1.1, 1.0, 0.98]
+    for seed, wall in enumerate(old, start=11):
+        _write_run(parent, "limit-mixture", seed, wall)
+        _write_run(change, "limit-mixture", seed, wall / 3)
+    _write_run(parent, "limit-mixture", 99, 1.0)  # unpaired: left out
+    _write_run(change, "compare-binary", 11, 1.0)  # no parent run: workload left out
+    out = str(tmp_path / "BENCH.json")
+    assert bench_record.main(["--parent", parent, "--change", change, "--out", out]) == 0
+    with open(out) as fh:
+        rec = json.load(fh)
+    assert list(rec["workloads"]) == ["limit-mixture"]
+    entry = rec["workloads"]["limit-mixture"]
+    assert entry["seeds"] == list(range(11, 21))
+    wall = entry["metrics"]["wall_s"]
+    assert (wall["pairs"], wall["wins"], wall["losses"], wall["ties"]) == (10, 10, 0, 0)
+    assert wall["gain"] and wall["parent"]["median"] == 1.0
+    setup = entry["metrics"]["setup_s"]
+    assert setup["ties"] == 10 and not setup["gain"]
