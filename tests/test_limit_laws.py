@@ -483,7 +483,7 @@ def test_cache_bound_to_model_and_degree_cap(rng):
 
 def test_near_critical_draws_finish(rng):
     # Poisson(1.3) once returned all 4097 coefficients, and these five draws
-    # took 9.6 s composing its pmfs by convolution powers
+    # took about 10 s composing its pmfs by convolution powers
     env = EnvironmentModel.single(Poisson(1.3))
     disp = DisplacementModel(alpha=2.0, p=1.0, mode="iid")
     cfg = LimitConfig(u_min=0.2)

@@ -294,26 +294,20 @@ def _assert_matches_exact(law, base: TruncatedPMF, exact_base: np.ndarray, cap: 
     return pmf, exact
 
 
-@pytest.mark.parametrize("cap", [16, 64, 512, 4096])
-@pytest.mark.parametrize("law", LAW_POOL)
-def test_compose_matches_exact_convolution(law, cap):
-    pmf = exact = TruncatedPMF(np.array([0.0, 1.0]), 0.0)
+@pytest.mark.parametrize("law,cap,depth", [
+    *[(law, cap, 6) for law in LAW_POOL for cap in (16, 64, 512, 4096)],
+    (Poisson(1.3), 4096, 12),  # near-critical: the pmf fills the whole cap
+])
+def test_compose_matches_exact_convolution(law, cap, depth):
+    pmf = TruncatedPMF(np.array([0.0, 1.0]), 0.0)
     exact = pmf.probs
-    for _ in range(6):
+    for _ in range(depth):
         pmf, exact = _assert_matches_exact(law, pmf, exact, cap)
 
 
 def test_compose_matches_exact_convolution_spilled():
     base = generation_size_pmf([Deterministic(3)] * 2, 4096)  # point mass at 9
     _assert_matches_exact(Deterministic(3), base, base.probs, 16)
-
-
-def test_compose_matches_exact_convolution_near_critical():
-    # Poisson(1.3): its 187 coefficients filled the full cap at depth 12
-    pmf = TruncatedPMF(np.array([0.0, 1.0]), 0.0)
-    exact = pmf.probs
-    for _ in range(12):
-        pmf, exact = _assert_matches_exact(Poisson(1.3), pmf, exact, 4096)
 
 
 def test_import_does_not_load_scipy():
