@@ -299,6 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.reps is not None and args.reps < 1:
+            raise ConfigError(f"--reps must be >= 1, got {args.reps}")
         cfg = load_config(args.config, seed=args.seed, output_dir=args.out)
         if args.command == "check":
             return cmd_check(cfg)

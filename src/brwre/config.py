@@ -176,7 +176,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             atoms=tuple(tuple(float(x) for x in row) for row in disp_doc["atoms"]) if angular else (),
             weights=tuple(float(w) for w in disp_doc["weights"]) if angular else (),
         )
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             environment=env,
             displacement=disp,
             simulation=_settings(SimSettings, doc["simulation"], "simulation"),
@@ -185,6 +185,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             seed=_integral(doc.get("seed", 0), "seed"),
             output_dir=str(doc.get("output_dir", "out")),
         )
+        # the simulator's own rules, so that every accepted config also simulates
+        for n in cfg.simulation.n:
+            cfg.sim_config(n)
+        return cfg
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

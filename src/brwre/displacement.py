@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .offspring import cut_points
+
 MODES = ("iid", "full_dep", "discrete_angular")
 
 _MARGINAL_TOL = 1e-9
@@ -87,6 +89,7 @@ class DisplacementModel:
         bal = weights @ np.clip(atoms, 0.0, None) ** a
         if np.any(np.abs(bal - self.p) > _MARGINAL_TOL):
             raise ValueError(f"per-coordinate balance {bal} differs from p={self.p}")
+        object.__setattr__(self, "_atom_cuts", cut_points(weights / weights.sum())[0])
 
     @classmethod
     def iid(cls, alpha: float, p: float) -> "DisplacementModel":
@@ -122,8 +125,9 @@ class DisplacementModel:
             alpha=alpha,
             p=p,
             mode="discrete_angular",
-            atoms=tuple(tuple(row) for row in atoms),
-            weights=tuple(weights),
+            # plain floats, so that the config dumps to YAML
+            atoms=tuple(map(tuple, atoms.tolist())),
+            weights=tuple(weights.tolist()),
         )
 
     @classmethod
@@ -152,6 +156,9 @@ class DisplacementModel:
 
     def atom_matrix(self) -> np.ndarray:
         return np.asarray(self.atoms, dtype=float)
+
+    def draw_atoms(self, rng, size: int) -> np.ndarray:
+        return np.searchsorted(self._atom_cuts, rng.random(size), side="right")
 
 
 def norming_constant(pi_n: float, alpha: float) -> float:
@@ -209,9 +216,7 @@ def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
         raise ValueError(
             f"brood of size {int(counts.max())} exceeds the {k} angular coordinates"
         )
-    w = np.asarray(model.weights)
-    cum = np.cumsum(w / w.sum())
-    atom_idx = np.searchsorted(cum, rng.random(counts.size), side="right")
+    atom_idx = model.draw_atoms(rng, counts.size)
     radii = model.radial_floor * _pareto_magnitudes(counts.size, inv_alpha, rng)
     parent = np.repeat(np.arange(counts.size), counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))

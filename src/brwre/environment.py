@@ -1,14 +1,15 @@
-"""The i.i.d. random environment: sampling, expected-size products, diagnostics."""
+"""The i.i.d. random environment: sampling (one search of the weights' cut-point
+table per law index), expected-size products, diagnostics."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .offspring import OffspringLaw
+from .offspring import OffspringLaw, cut_points
 
 # Truncation threshold for infinite-support moment sums.
 _MOMENT_TOL = 1e-14
@@ -20,8 +21,6 @@ class EnvironmentModel:
 
     support: tuple
     weights: tuple
-    # cumulative weights for draw_indices; derived, so not part of eq or repr
-    _cum_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.support) == 0 or len(self.support) != len(self.weights):
@@ -31,16 +30,15 @@ class EnvironmentModel:
             raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-        cum = np.cumsum(np.asarray(self.weights))
-        cum.flags.writeable = False
-        object.__setattr__(self, "_cum_weights", cum)
+        object.__setattr__(self, "_cuts", cut_points(w)[0])
 
     @classmethod
     def single(cls, law: OffspringLaw) -> "EnvironmentModel":
         return cls((law,), (1.0,))
 
-    def draw_indices(self, rng, n: int) -> np.ndarray:
-        return np.searchsorted(self._cum_weights, rng.random(n), side="right")
+    def draw_indices(self, rng, n: Optional[int] = None):
+        """``n`` law indices, or one index when ``n`` is None."""
+        return np.searchsorted(self._cuts, rng.random(n), side="right")
 
     def min_support_mean(self) -> float:
         return min(law.mean() for law in self.support)
@@ -54,20 +52,14 @@ class EnvSequence:
     law_indices: np.ndarray
     pi: np.ndarray  # pi[0] = 1, pi[i] = prod of means of laws[:i]
 
-    @property
-    def n(self) -> int:
-        return len(self.laws)
-
 
 def sample_env(model: EnvironmentModel, n: int, rng) -> EnvSequence:
     """Draw n i.i.d. laws from the model and compute the mean products."""
     if n < 1:
         raise ValueError("environment length must be >= 1")
     idx = model.draw_indices(rng, n)
-    laws = [model.support[i] for i in idx]
-    pi = np.empty(n + 1)
-    pi[0] = 1.0
-    pi[1:] = np.cumprod([law.mean() for law in laws])
+    laws = [model.support[i] for i in idx.tolist()]
+    pi = np.concatenate(([1.0], np.cumprod([law.mean() for law in laws])))
     return EnvSequence(laws=laws, law_indices=idx, pi=pi)
 
 

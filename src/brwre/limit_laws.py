@@ -10,8 +10,10 @@ of Z_i depends only on the laws of generations 0..i-1.
 The normalizing series are summed by one loop with a geometric tail bound
 (a certificate only when every support law has mean > 1); the cluster
 samplers draw a generation index from the series terms and then the size (or
-brood vector) from the cached truncated pmfs, falling back to direct
-population simulation for the rare mass past the degree cap.
+brood vector) from the cached truncated pmfs, each by one search of a
+cut-point table (:func:`brwre.offspring.cut_points`).  One count-level
+population walk serves both the martingale limit W (frozen once Z reaches
+10^12) and the rare cluster mass past the degree cap (stopped past 10^14).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .displacement import DisplacementModel, Pattern, pattern_mass
-from .environment import EnvironmentModel
+from .environment import EnvironmentModel, sample_env
 from .errors import (
     ArgumentOrder,
     NonGeometricGrowth,
@@ -32,14 +34,16 @@ from .errors import (
     UnboundedProgenyInGeneralMode,
 )
 from .measures import PointMeasure
-from .offspring import TruncatedPMF, compose_generation
+from .offspring import TruncatedPMF, compose_generation, cut_points
 
 # Window of realized per-step mean ratios used when the model's worst-case
 # mean does not certify geometric growth on its own.
 _GROWTH_WINDOW = 8
-# Stop count-level population simulation once the martingale value is frozen
-# to ~1e-6 relative accuracy; the conditional mean is preserved exactly.
+# Population walks for W stop once Z reaches this: the martingale value is
+# frozen to ~1e-6 relative accuracy and its conditional mean kept exactly.
 _FREEZE_POPULATION = 1_000_000_000_000
+# Beyond-cap walks stop past 10^14, far past every cap, before samplers overflow.
+_BEYOND_CAP_STOP = 10 ** 14 + 1
 _REJECTION_CAP = 1_000_000
 # Bytes of pmf coefficients one GenSizeCache stores; past it, pmfs are
 # composed as before but no longer kept (no eviction: the shallow prefixes,
@@ -134,23 +138,21 @@ class EnvStream:
         self._rng = rng
         self._cache = cache
         self._indices: List[int] = []
-        self._laws: List = []
         self._pi: List[float] = [1.0]
         self._extinct: List[float] = [0.0]
         self._pmfs: List[TruncatedPMF] = [TruncatedPMF(np.array([0.0, 1.0]), 0.0)]
 
     def _extend(self, i: int) -> None:
-        while len(self._laws) <= i:
-            k = int(self.model.draw_indices(self._rng, 1)[0])
+        while len(self._indices) <= i:
+            k = int(self.model.draw_indices(self._rng))
             law = self.model.support[k]
             self._indices.append(k)
-            self._laws.append(law)
             self._pi.append(self._pi[-1] * law.mean())
             self._extinct.append(law.pgf(self._extinct[-1]))
 
     def law(self, i: int):
         self._extend(i)
-        return self._laws[i]
+        return self.model.support[self._indices[i]]
 
     def pi(self, i: int) -> float:
         """Expected size after i generations (product of the first i means)."""
@@ -171,16 +173,19 @@ class EnvStream:
         return self._pmfs[i]
 
     def simulate_population(self, i: int, rng) -> int:
-        """Count-level draw of Z_i under this environment (no truncation)."""
-        z = 1
-        for g in range(i):
-            # generation g uses the (i-1-g)-th stream law: newest at the root
-            z = self.law(i - 1 - g).sample_total(rng, z)
-            # any such draw is far past every degree cap already; stop before
-            # closed-form samplers overflow
-            if z == 0 or z > 10 ** 14:
-                break
-        return z
+        """Count-level draw of Z_i under this environment, newest law at the root."""
+        return _population_walk([self.law(j) for j in range(i - 1, -1, -1)], _BEYOND_CAP_STOP, rng)[0]
+
+
+def _population_walk(laws, stop: int, rng) -> Tuple[int, int]:
+    """Count-level Z after one generation per law of ``laws``, root first,
+    stopped early once Z is 0 or reaches ``stop``; also the generations walked."""
+    z = 1
+    for g, law in enumerate(laws, start=1):
+        z = law.sample_total(rng, z)
+        if z == 0 or z >= stop:
+            return z, g
+    return z, len(laws)
 
 
 # Series kind -> (term i on a stream, index shift of the 1/pi in its tail bound).
@@ -259,22 +264,18 @@ def sample_martingale_limit(
     current ratio is returned: the martingale property keeps its conditional
     mean exact and the remaining fluctuation is O(population^-1/2).
     """
-    if m < 1:
-        raise ValueError("horizon m must be >= 1")
     while True:
-        idx = model.draw_indices(rng, m)
-        z = 1
-        pi = 1.0
-        for g in range(m):
-            law = model.support[idx[g]]
-            pi *= law.mean()
-            z = law.sample_total(rng, z)
-            if z == 0 or z >= _FREEZE_POPULATION:
-                break
+        env = sample_env(model, m, rng)
+        z, g = _population_walk(env.laws, _FREEZE_POPULATION, rng)
         if z > 0:
-            return z / pi
+            return float(z / env.pi[g])
         if not condition_on_survival:
             return 0.0
+
+
+def _draw_category(table: Tuple[np.ndarray, float], rng) -> int:
+    """One category of a ``(cut points, total)`` table, see :func:`cut_points`."""
+    return int(np.searchsorted(table[0], rng.random() * table[1], side="right"))
 
 
 class ClusterSampler:
@@ -282,38 +283,31 @@ class ClusterSampler:
 
     def __init__(self, stream: EnvStream, cfg: LimitConfig):
         self.stream = stream
-        self.cfg = cfg
-        sv, terms = _series_terms("cluster_size", stream, cfg)
-        self.size_norm = sv
-        self._size_cum = np.cumsum(terms)
-        _, vec_terms = _series_terms("_inverse_mean_next", stream, cfg)
-        self._vec_cum = np.cumsum(vec_terms)
-        self._pmf_cums: dict = {}
-
-    def _draw_index(self, cum: np.ndarray, rng) -> int:
-        return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, cum.size - 1))
+        self.size_norm, terms = _series_terms("cluster_size", stream, cfg)
+        self._size_table = cut_points(terms)
+        self._vec_table = cut_points(_series_terms("_inverse_mean_next", stream, cfg)[1])
+        self._pmf_tables: dict = {}
 
     def _draw_size(self, i: int, rng, conditioned: bool) -> int:
         """Z_i draw from the cached truncated pmf, conditioned on >= 1 if asked.
 
-        The mass past the degree cap is resolved by direct population
-        simulation conditioned to land past the cap.
+        The last category of the pmf's table, the mass past the degree cap, is
+        resolved by direct population simulation conditioned to land past it.
         """
         if i == 0:
             return 1
         key = (i, conditioned)
-        if key not in self._pmf_cums:
+        if key not in self._pmf_tables:
             pmf = self.stream.gen_size_pmf(i)
             start = 1 if conditioned else 0
-            cum = np.cumsum(pmf.probs[start:])
-            total = (cum[-1] if cum.size else 0.0) + pmf.mass_beyond
-            self._pmf_cums[key] = (start, cum, total, pmf.degree)
-        start, cum, total, degree = self._pmf_cums[key]
-        if total <= 0.0:
-            raise RejectionCapExceeded(f"generation {i} has no reachable mass")
-        u = rng.random() * total
-        if cum.size and u < cum[-1]:
-            return start + int(np.searchsorted(cum, u, side="right"))
+            weights = np.append(pmf.probs[start:], pmf.mass_beyond)
+            if not weights.any():
+                raise RejectionCapExceeded(f"generation {i} has no reachable mass")
+            self._pmf_tables[key] = (start, pmf.degree, cut_points(weights))
+        start, degree, table = self._pmf_tables[key]
+        z = start + _draw_category(table, rng)
+        if z <= degree:
+            return z
         for _ in range(_REJECTION_CAP):
             z = self.stream.simulate_population(i, rng)
             if z > degree:
@@ -322,13 +316,13 @@ class ClusterSampler:
 
     def sample_size(self, rng) -> int:
         """The number of final-generation descendants of one big jump."""
-        i = self._draw_index(self._size_cum, rng)
+        i = _draw_category(self._size_table, rng)
         return self._draw_size(i, rng, conditioned=True)
 
     def sample_brood_vector(self, rng) -> Tuple[int, np.ndarray]:
         """A brood size V and the V descendant counts, not all zero."""
         for _ in range(_REJECTION_CAP):
-            i = self._draw_index(self._vec_cum, rng)
+            i = _draw_category(self._vec_table, rng)
             v = self.stream.law(i).sample_many(rng, 1)[0]
             if v == 0:
                 continue
@@ -340,7 +334,7 @@ class ClusterSampler:
     def single_descendant_prob(self) -> float:
         """P(cluster size = 1): the chance one big jump shows up alone."""
         total = 0.0
-        for i in range(self._size_cum.size):
+        for i in range(self.size_norm.terms_used):
             pmf = self.stream.gen_size_pmf(i)
             if pmf.degree >= 1:
                 total += pmf.probs[1] / self.stream.pi(i)
@@ -529,29 +523,21 @@ def sample_limit_point_process(
         return PointMeasure.empty(), scale
     radii = cfg.u_min * rng.random(n_pts) ** -inv_alpha
 
-    locs: List[float] = []
-    mults: List[int] = []
-    if disp.mode == "iid":
+    if disp.mode != "discrete_angular":
         signs = np.where(rng.random(n_pts) < disp.p, 1.0, -1.0)
-        for l in range(n_pts):
-            locs.append(scale * signs[l] * radii[l])
-            mults.append(sampler.sample_size(rng))
-    elif disp.mode == "full_dep":
-        signs = np.where(rng.random(n_pts) < disp.p, 1.0, -1.0)
-        for l in range(n_pts):
-            _, sizes = sampler.sample_brood_vector(rng)
-            locs.append(scale * signs[l] * radii[l])
-            mults.append(int(sizes.sum()))
-    else:
-        weights = np.asarray(disp.weights)
-        cum = np.cumsum(weights / weights.sum())
-        atom_idx = np.searchsorted(cum, rng.random(n_pts), side="right")
-        atoms = disp.atom_matrix()
-        for l in range(n_pts):
-            v, sizes = sampler.sample_brood_vector(rng)
-            coords = atoms[atom_idx[l], :v]
-            for k in range(v):
-                if sizes[k] >= 1 and coords[k] != 0.0:
-                    locs.append(scale * radii[l] * coords[k])
-                    mults.append(int(sizes[k]))
+        if disp.mode == "iid":
+            mults = [sampler.sample_size(rng) for _ in range(n_pts)]
+        else:
+            mults = [int(sampler.sample_brood_vector(rng)[1].sum()) for _ in range(n_pts)]
+        return PointMeasure.from_atoms(scale * signs * radii, np.array(mults)), scale
+    locs, mults = [], []
+    atom_idx = disp.draw_atoms(rng, n_pts)
+    atoms = disp.atom_matrix()
+    for l in range(n_pts):
+        v, sizes = sampler.sample_brood_vector(rng)
+        coords = atoms[atom_idx[l], :v]
+        for k in range(v):
+            if sizes[k] >= 1 and coords[k] != 0.0:
+                locs.append(scale * radii[l] * coords[k])
+                mults.append(int(sizes[k]))
     return PointMeasure.from_atoms(np.array(locs), np.array(mults)), scale

@@ -2,7 +2,9 @@
 
 Every family exposes the same small surface: ``mean``, ``pmf``, ``pgf`` (and
 ``pgf_many``, its vectorised complex form), vectorised child-count sampling,
-and a closed-form draw for the total progeny of a whole generation.  Quenched
+and a closed-form draw for the total progeny of a whole generation.  Every
+categorical draw of the package is one right-sided search of a cut-point
+table (:func:`cut_points`) that the owner of the law builds once.  Quenched
 quantities of the generation size Z_i under a reversed environment segment
 come from composing the per-generation pgfs: scalar composition yields
 extinction probabilities; composition at damped roots of unity, inverted by
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +48,21 @@ def _trimmed(probs: np.ndarray) -> np.ndarray:
     """``probs`` up to its last nonzero entry (one entry if all are zero)."""
     nonzero = np.flatnonzero(probs)
     return probs[: nonzero[-1] + 1] if nonzero.size else probs[:1]
+
+
+def cut_points(weights) -> Tuple[np.ndarray, float]:
+    """The read-only cut-point table of a discrete law, and its total weight.
+
+    The cumulative weights up to the last positive one, without the total:
+    ``searchsorted(table, u * total, side="right")`` for a uniform ``u`` (or
+    ``u`` alone when the weights sum to 1) is the inverse-CDF draw (Devroye
+    1986, III.2), and a rounding gap at the top falls to the last positive
+    weight.  Owners keep it as an attribute, not a field: out of the config.
+    """
+    cum = np.cumsum(weights, dtype=float)
+    table = cum[: np.flatnonzero(np.asarray(weights) > 0.0)[-1]]
+    table.flags.writeable = False
+    return table, float(cum[-1])
 
 
 @dataclass(frozen=True)
@@ -242,6 +259,7 @@ class Finite:
         if not float(np.arange(vec.size) @ vec) > 0.0:
             raise ValueError("finite progeny pmf must have positive mean")
         object.__setattr__(self, "probs", tuple(float(p) for p in vec))
+        object.__setattr__(self, "_cuts", cut_points(vec)[0])
 
     def _vec(self) -> np.ndarray:
         return np.asarray(self.probs)
@@ -267,8 +285,7 @@ class Finite:
         return len(self.probs) - 1
 
     def sample_many(self, rng, size: int) -> np.ndarray:
-        cum = np.cumsum(self._vec())
-        return np.searchsorted(cum, rng.random(size), side="right").astype(np.int64)
+        return np.searchsorted(self._cuts, rng.random(size), side="right").astype(np.int64)
 
     def sample_total(self, rng, count: int) -> int:
         hits = rng.multinomial(count, self._vec())

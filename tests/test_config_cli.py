@@ -84,7 +84,7 @@ def test_yaml_round_trip(tmp_path):
     assert load_config(str(path), seed=9).seed == 9
 
 
-def test_invalid_configs_rejected(tmp_path):
+def test_invalid_configs_rejected(tmp_path, capsys):
     with pytest.raises(ConfigError):
         config_from_dict({"environment": {"support": [], "weights": []}})
     bad = tmp_path / "bad.yaml"
@@ -143,6 +143,23 @@ def test_invalid_configs_rejected(tmp_path):
         (doc[block] if block else doc)[key] = [1.0]
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+    # settings the simulator refuses are refused at load, by check as by simulate
+    for key, value in [("top_k", 1), ("retain_delta", 0.0), ("jump_eta", -1.0), ("population_cap", 0)]:
+        doc = config_to_dict(small_config())
+        doc["simulation"][key] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+        path.write_text(yaml.safe_dump(doc))
+        for command in ("check", "simulate"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    path.write_text(yaml.safe_dump(config_to_dict(small_config())))
+    for command in ("simulate", "limit"):
+        for reps in ("-3", "0"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--reps", reps]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
 
 
 def write_config(tmp_path, cfg) -> str:

@@ -1,0 +1,65 @@
+"""Every categorical draw lands on a positive-weight category of its own law,
+also for the largest uniform below 1, where float rounding leaves a gap
+between the last cumulative weight and the uniform."""
+
+import numpy as np
+
+from brwre.displacement import DisplacementModel, brood_flat
+from brwre.environment import EnvironmentModel, sample_env
+from brwre.limit_laws import ClusterSampler, EnvStream, LimitConfig, cluster_norm_series
+from brwre.offspring import Deterministic, Finite, Poisson
+
+
+class TopUniform:
+    """A stand-in rng whose every uniform is 1 - 2^-53."""
+
+    u = 1.0 - 2.0 ** -53
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+TOP = TopUniform()
+# weights that pass validation but sum to 1 - 1e-13, below the top uniform
+SHORT = (0.5, 0.5 - 1e-13)
+
+
+def test_environment_draws_stay_in_support():
+    for weights in (SHORT, SHORT + (0.0,)):
+        model = EnvironmentModel((Poisson(2.0), Poisson(3.0), Poisson(4.0))[: len(weights)], weights)
+        assert model.draw_indices(TOP, 5).tolist() == [1] * 5
+        assert int(model.draw_indices(TOP)) == 1
+        assert sample_env(model, 3, TOP).laws == [Poisson(3.0)] * 3
+
+
+def test_finite_child_counts_stay_in_support():
+    assert Finite(SHORT).sample_many(TOP, 5).tolist() == [1] * 5
+    assert Finite(SHORT + (0.0,)).sample_many(TOP, 5).tolist() == [1] * 5
+
+
+def test_angular_atom_draws_stay_in_support():
+    d = np.full(2, 2 ** -0.5)
+    model = DisplacementModel.discrete_angular(2.0, [d, -d, d], [0.95, 0.313, 0.424])
+    w = np.asarray(model.weights)
+    assert np.cumsum(w / w.sum())[-1] == TopUniform.u  # the rounding edge itself
+    assert model.draw_atoms(TOP, 4).tolist() == [2] * 4
+    # every parent gets the last atom, coordinate by brood rank
+    x = brood_flat(model, np.array([2, 1]), TOP)
+    radius = model.radial_floor / np.sqrt(TopUniform.u)
+    assert np.array_equal(x, radius * model.atom_matrix()[2, [0, 1, 0]])
+
+
+def test_cluster_sampler_draws_stay_in_support():
+    # under Deterministic(2) every Z_i is 2^i: the top uniform picks the last
+    # generation of positive weight and then the one size it can have
+    cfg = LimitConfig()
+    stream = EnvStream(EnvironmentModel.single(Deterministic(2)), np.random.default_rng(1), 64)
+    sampler = ClusterSampler(stream, cfg)
+    assert sampler.sample_size(TOP) == 2 ** (sampler.size_norm.terms_used - 1)
+    v, sizes = sampler.sample_brood_vector(TOP)
+    last = cluster_norm_series("_inverse_mean_next", stream, cfg).terms_used - 1
+    assert v == 2 and sizes.tolist() == [2 ** last] * 2
+    # within the degree cap the size comes from the pmf's own table
+    for i in (1, 3, 6):
+        for conditioned in (False, True):
+            assert sampler._draw_size(i, TOP, conditioned) == 2 ** i

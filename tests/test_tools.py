@@ -2,14 +2,21 @@ import importlib.util
 import json
 import os
 
+from brwre.config import load_config
+from brwre.offspring import Finite
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "tools", f"{name}.py"))
+def _load(name, *path):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, *path))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tool(name):
+    return _load(name, "tools", f"{name}.py")
 
 
 def _write_run(checkout, workload, seed, wall_s):
@@ -47,3 +54,29 @@ def test_bench_record_pairs_seeds_and_applies_gain_rule(tmp_path):
     assert wall["gain"] and wall["parent"]["median"] == 1.0
     setup = entry["metrics"]["setup_s"]
     assert setup["ties"] == 10 and not setup["gain"]
+
+
+def test_output_digests_derives_uncovered_scenarios(tmp_path):
+    paths = _load_tool("output_digests").derived_configs(str(tmp_path))
+    cfgs = [load_config(path) for path in paths]
+    assert sorted(cfg.displacement.mode for cfg in cfgs) == ["discrete_angular", "full_dep", "iid"]
+    assert any(isinstance(law, Finite) for cfg in cfgs for law in cfg.environment.support)
+
+
+def test_perfbench_tracer_installs():
+    # the tracer patches through vars(owner)[attr]: a renamed or inherited
+    # attribute breaks every traced benchmark run
+    tracer = _load("perfbench_layers", "perfbench", "layers.py").Tracer()
+    patched = []
+    try:
+        tracer.install()
+        patched = list(tracer._undo)
+        for owner, attr, raw in patched:
+            new = vars(owner)[attr]
+            unwrap = (lambda f: f.__func__) if isinstance(raw, classmethod) else (lambda f: f)
+            assert unwrap(new).__wrapped__ is unwrap(raw)
+    finally:
+        tracer.uninstall()
+    assert len(patched) > 20
+    for owner, attr, raw in patched:
+        assert vars(owner)[attr] is raw

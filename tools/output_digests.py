@@ -1,9 +1,10 @@
 """Digest every CLI output of the shipped configs, as a refactor oracle.
 
 Runs ``check``, ``simulate``, ``limit``, ``compare`` and ``diagnostics`` on
-each ``configs/*.yaml`` of this checkout, in process through
-``brwre.cli.main``, each command into its own directory ``<config>/<command>``
-under a temporary working directory.  Prints one ``sha256  path`` line per
+each ``configs/*.yaml`` of this checkout and on the derived scenarios of
+:func:`derived_configs`, in process through ``brwre.cli.main``, each command
+into its own directory ``<config>/<command>`` under a temporary working
+directory.  Prints one ``sha256  path`` line per
 output file and per command's stdout (path ``<config>/<command>/stdout``),
 and one ``exit N  <config>/<command>`` line per command.  Paths are relative
 to the temporary directory, so the listings of two checkouts can be compared
@@ -21,22 +22,54 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
 
+import yaml
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from brwre import Binomial, DisplacementModel, EnvironmentModel, Finite, Geometric  # noqa: E402
 from brwre.cli import main as brwre_main  # noqa: E402
+from brwre.config import config_to_dict, load_config  # noqa: E402
 
 COMMANDS = ("check", "simulate", "limit", "compare", "diagnostics")
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def derived_configs(directory: str) -> list:
+    """Write the scenarios the shipped configs leave out to ``directory``.
+
+    Both shipped configs are iid with no finite-support environment, so the
+    binary config is rewritten (through ``config_to_dict``) with fully
+    dependent displacements, with a two-coordinate angular model, and with a
+    {finite, binomial, geometric} environment.  Returns the YAML paths.
+    """
+    base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
+    mixture = EnvironmentModel((Finite((0.2, 0.3, 0.5)), Binomial(3, 0.8), Geometric(0.6)), (0.3, 0.4, 0.3))
+    scenarios = {
+        "binary_full_dep": dataclasses.replace(base, displacement=DisplacementModel.full_dep(2.0, 0.5)),
+        "binary_angular": dataclasses.replace(base, displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)),
+        "binary_finite_mixture": dataclasses.replace(base, environment=mixture),
+    }
+    paths = []
+    for name, cfg in scenarios.items():
+        paths.append(os.path.join(directory, f"{name}.yaml"))
+        # the JSON round trip makes numpy scalars plain floats, which checkouts
+        # whose angular constructor kept numpy scalars need before YAML
+        doc = json.loads(json.dumps(config_to_dict(cfg)))
+        with open(paths[-1], "w") as fh:
+            yaml.safe_dump(doc, fh, sort_keys=False)
+    return paths
 
 
 def digest_config(config: str, reps: int, threads: int) -> list:
@@ -70,7 +103,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for config in configs:
+            for config in configs + derived_configs(tmp):
                 print("\n".join(digest_config(config, args.reps, args.threads)), flush=True)
         finally:
             os.chdir(cwd)
