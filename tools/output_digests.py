@@ -4,11 +4,11 @@ Runs ``check``, ``simulate``, ``limit``, ``compare`` and ``diagnostics`` on
 each ``configs/*.yaml`` of this checkout and on the derived scenarios of
 :func:`derived_configs`, in process through ``brwre.cli.main``, each command
 into its own directory ``<config>/<command>`` under a temporary working
-directory.  Prints one ``sha256  path`` line per
-output file and per command's stdout (path ``<config>/<command>/stdout``),
-and one ``exit N  <config>/<command>`` line per command.  Paths are relative
-to the temporary directory, so the listings of two checkouts can be compared
-with ``diff``:
+directory.  Prints one ``sha256  path`` line per output file and per
+command's stdout (path ``<config>/<command>/stdout``), and one
+``exit N  <config>/<command>`` line per command.  Paths are relative to the
+temporary directory, so the listings of two checkouts can be compared with
+``diff``:
 
     python3 tools/output_digests.py --reps 20 --threads 1 > new.txt
     python3 <other checkout>/tools/output_digests.py --reps 20 --threads 1 > old.txt
