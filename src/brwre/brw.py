@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
 
 from .displacement import DisplacementModel, brood_flat, norming_constant
 from .environment import EnvironmentModel, EnvSequence, sample_env
-from .errors import PopulationCapExceeded
+from .errors import PopulationCapExceeded, first_accepted
 from .measures import PointMeasure
 
 DEFAULT_POPULATION_CAP = 1 << 24
@@ -99,15 +100,14 @@ def _replicate(config: SimConfig, rng, grow) -> BrwOutcome:
     if rng is None:
         rng = replication_rng(config.seed, 0)
     n = config.n
-    restarts = 0
-    while True:
+
+    def attempt(restarts: int) -> Optional[BrwOutcome]:
         env_seq = sample_env(config.env, n, rng)
         b = norming_constant(env_seq.pi[n], config.disp.alpha)
         z, final = grow(config, env_seq, b, rng)
         if final is None:
             if config.condition_on_survival:
-                restarts += 1
-                continue
+                return None
             empty_diags = Diagnostics(0, np.zeros(n + 1, dtype=np.int64), None)
             final = (PointMeasure.empty(), np.empty(0), np.empty(0), empty_diags)
         atoms, top, bottom, diags = final
@@ -122,6 +122,8 @@ def _replicate(config: SimConfig, rng, grow) -> BrwOutcome:
             diagnostics=diags,
             restarts=restarts,
         )
+
+    return first_accepted(attempt, "survival restart of the simulated tree")
 
 
 def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
@@ -262,8 +264,8 @@ def simulate_naive(config: SimConfig, rng=None) -> BrwOutcome:
     return _replicate(config, rng, _grow_full_tree)
 
 
-def _run_chunk(config: SimConfig, reps: range) -> List[BrwOutcome]:
-    return [simulate(config, replication_rng(config.seed, r)) for r in reps]
+def _simulate_rep(config: SimConfig, rep: int) -> BrwOutcome:
+    return simulate(config, replication_rng(config.seed, rep))
 
 
 def run_replications(config: SimConfig, reps: int, threads: int = 1) -> List[BrwOutcome]:
@@ -273,16 +275,12 @@ def run_replications(config: SimConfig, reps: int, threads: int = 1) -> List[Brw
     """
     if reps < 1:
         raise ValueError("need at least one replication")
+    run = partial(_simulate_rep, config)
     if threads <= 1 or reps == 1:
-        return _run_chunk(config, range(reps))
+        return list(map(run, range(reps)))
     workers = min(threads, reps)
-    chunks = [range(i, reps, workers) for i in range(workers)]
-    out: List[Optional[BrwOutcome]] = [None] * reps
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk, results in zip(chunks, pool.map(_run_chunk, [config] * workers, chunks)):
-            for r, res in zip(chunk, results):
-                out[r] = res
-    return out  # type: ignore[return-value]
+        return list(pool.map(run, range(reps), chunksize=-(-reps // workers)))
 
 
 def diagnostics_report(outcomes: List[BrwOutcome], rho: int) -> dict:

@@ -69,20 +69,23 @@ def _outdir(cfg: ExperimentConfig) -> str:
     return cfg.output_dir
 
 
+def _write_json(cfg: ExperimentConfig, name: str, doc: dict) -> None:
+    """Write ``doc`` to ``name`` in the output directory, after a ``meta`` entry."""
+    with open(os.path.join(_outdir(cfg), name), "w") as fh:
+        json.dump({"meta": _meta_line(cfg)[2:], **doc}, fh, indent=2)
+
+
 def cmd_check(cfg: ExperimentConfig) -> int:
     from .environment import check_assumptions
 
     report = check_assumptions(cfg.environment)
-    doc = dataclasses.asdict(report)
     print(f"verdict:            {report.verdict}")
     if report.reason:
         print(f"reason:             {report.reason}")
     print(f"E log E(xi|Y):      {report.e_log_mean:.6g}")
     print(f"E |log P(xi>1|Y)|:  {report.e_abs_log_p_gt1:.6g}")
     print(f"x log x moment:     {report.kesten_stigum_term:.6g}")
-    out = _outdir(cfg)
-    with open(os.path.join(out, "check.json"), "w") as fh:
-        json.dump({"meta": _meta_line(cfg)[2:], **doc}, fh, indent=2)
+    _write_json(cfg, "check.json", dataclasses.asdict(report))
     return 0
 
 
@@ -171,26 +174,17 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     for kind in limit_laws.SERIES_KINDS:
         sv = limit_laws.cluster_norm_series(kind, stream, cfg.limit)
         constants[kind] = dataclasses.asdict(sv)
-    with open(os.path.join(out, "constants.json"), "w") as fh:
-        json.dump(
-            {
-                "meta": meta[2:],
-                "note": "quenched values for one realized environment draw",
-                "constants": constants,
-            },
-            fh,
-            indent=2,
-        )
+    doc = {"note": "quenched values for one realized environment draw", "constants": constants}
+    _write_json(cfg, "constants.json", doc)
     for kind, doc in constants.items():
         print(f"{kind}: {doc['value']:.12g} (tail <= {doc['tail_bound']:.3g}, {doc['terms_used']} terms)")
     return 0
 
 
 def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int:
-    out = _outdir(cfg)
     alpha = cfg.displacement.alpha
     grid = cfg.comparison.grid
-    report = {"meta": _meta_line(cfg)[2:], "n": {}, "pass": True}
+    report = {"n": {}, "pass": True}
 
     q_samples = _draw_q_samples(cfg, cfg.limit.n_limit_samples)
     pp_draws, pp_scales = _draw_pp(cfg, min(cfg.limit.n_limit_samples, 4000))
@@ -251,17 +245,15 @@ def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int
             print(f"   {r['x']:6.2f}  {r['ecdf']:.4f}  {r['limit_cdf']:.4f}  {r['abs_diff']:.4f}")
 
     report["pass"] = bool(all_pass)
-    with open(os.path.join(out, "compare.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
+    _write_json(cfg, "compare.json", report)
     print("overall:", "PASS" if all_pass else "FAIL")
     return 0 if all_pass else 1
 
 
 def cmd_diagnostics(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int:
-    out = _outdir(cfg)
     reps = reps or cfg.simulation.replications
     rho = cfg.simulation.early_rho
-    doc = {"meta": _meta_line(cfg)[2:], "rho": rho, "n": {}}
+    doc = {"rho": rho, "n": {}}
     for n in cfg.simulation.n:
         outcomes = brw.run_replications(cfg.sim_config(n), reps, threads)
         diag = brw.diagnostics_report(outcomes, rho)
@@ -270,8 +262,7 @@ def cmd_diagnostics(cfg: ExperimentConfig, reps: Optional[int], threads: int) ->
             f"n={n}: two_jump_fraction={diag['two_jump_fraction']:.4f}  "
             f"early_jump_fraction(rho={rho})={diag['early_jump_fraction']:.4f}"
         )
-    with open(os.path.join(out, "diagnostics.json"), "w") as fh:
-        json.dump(doc, fh, indent=2)
+    _write_json(cfg, "diagnostics.json", doc)
     return 0
 
 

@@ -31,6 +31,8 @@ class EnvironmentModel:
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
         object.__setattr__(self, "_cuts", cut_points(w)[0])
+        object.__setattr__(self, "_means", np.array([law.mean() for law in self.support]))
+        self._means.flags.writeable = False
 
     @classmethod
     def single(cls, law: OffspringLaw) -> "EnvironmentModel":
@@ -41,7 +43,7 @@ class EnvironmentModel:
         return np.searchsorted(self._cuts, rng.random(n), side="right")
 
     def min_support_mean(self) -> float:
-        return min(law.mean() for law in self.support)
+        return float(self._means.min())
 
 
 @dataclass
@@ -59,7 +61,7 @@ def sample_env(model: EnvironmentModel, n: int, rng) -> EnvSequence:
         raise ValueError("environment length must be >= 1")
     idx = model.draw_indices(rng, n)
     laws = [model.support[i] for i in idx.tolist()]
-    pi = np.concatenate(([1.0], np.cumprod([law.mean() for law in laws])))
+    pi = np.concatenate(([1.0], np.cumprod(model._means[idx])))
     return EnvSequence(laws=laws, law_indices=idx, pi=pi)
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rejection give-up rule."""
+
+# Attempts one rejection sampler or survival restart makes before it gives up.
+_REJECTION_CAP = 1_000_000
 
 
 class BrwreError(Exception):
@@ -27,6 +30,16 @@ class ArgumentOrder(BrwreError):
 
 class RejectionCapExceeded(BrwreError):
     """A rejection sampler exhausted its attempt budget."""
+
+
+def first_accepted(attempt, what: str):
+    """The first result of ``attempt(k)``, k = 0, 1, ..., that is not None;
+    raises :class:`RejectionCapExceeded`, naming ``what``, past the cap."""
+    for k in range(_REJECTION_CAP):
+        result = attempt(k)
+        if result is not None:
+            return result
+    raise RejectionCapExceeded(f"{what}: no accepted attempt in {_REJECTION_CAP} attempts")
 
 
 class ConfigError(BrwreError):

@@ -32,6 +32,7 @@ from .errors import (
     NonGeometricGrowth,
     RejectionCapExceeded,
     UnboundedProgenyInGeneralMode,
+    first_accepted,
 )
 from .measures import PointMeasure
 from .offspring import TruncatedPMF, compose_generation, cut_points
@@ -44,7 +45,6 @@ _GROWTH_WINDOW = 8
 _FREEZE_POPULATION = 1_000_000_000_000
 # Beyond-cap walks stop past 10^14, far past every cap, before samplers overflow.
 _BEYOND_CAP_STOP = 10 ** 14 + 1
-_REJECTION_CAP = 1_000_000
 # Bytes of pmf coefficients one GenSizeCache stores; past it, pmfs are
 # composed as before but no longer kept (no eviction: the shallow prefixes,
 # stored first, are the ones most draws reach).
@@ -264,13 +264,15 @@ def sample_martingale_limit(
     current ratio is returned: the martingale property keeps its conditional
     mean exact and the remaining fluctuation is O(population^-1/2).
     """
-    while True:
+
+    def attempt(_) -> Optional[float]:
         env = sample_env(model, m, rng)
         z, g = _population_walk(env.laws, _FREEZE_POPULATION, rng)
         if z > 0:
             return float(z / env.pi[g])
-        if not condition_on_survival:
-            return 0.0
+        return None if condition_on_survival else 0.0
+
+    return first_accepted(attempt, "survival restart of the martingale limit W")
 
 
 def _draw_category(table: Tuple[np.ndarray, float], rng) -> int:
@@ -308,11 +310,12 @@ class ClusterSampler:
         z = start + _draw_category(table, rng)
         if z <= degree:
             return z
-        for _ in range(_REJECTION_CAP):
+
+        def attempt(_) -> Optional[int]:
             z = self.stream.simulate_population(i, rng)
-            if z > degree:
-                return z
-        raise RejectionCapExceeded("beyond-cap cluster draw failed to land past the cap")
+            return z if z > degree else None
+
+        return first_accepted(attempt, "beyond-cap cluster draw")
 
     def sample_size(self, rng) -> int:
         """The number of final-generation descendants of one big jump."""
@@ -321,15 +324,15 @@ class ClusterSampler:
 
     def sample_brood_vector(self, rng) -> Tuple[int, np.ndarray]:
         """A brood size V and the V descendant counts, not all zero."""
-        for _ in range(_REJECTION_CAP):
+
+        def attempt(_) -> Optional[Tuple[int, np.ndarray]]:
             i = _draw_category(self._vec_table, rng)
             v = self.stream.law(i).sample_many(rng, 1)[0]
-            if v == 0:
-                continue
+            # an empty brood (v = 0) has no nonzero count and is rejected too
             sizes = np.array([self._draw_size(i, rng, conditioned=False) for k in range(v)])
-            if sizes.any():
-                return int(v), sizes
-        raise RejectionCapExceeded("brood-vector rejection budget exhausted")
+            return (int(v), sizes) if sizes.any() else None
+
+        return first_accepted(attempt, "brood-vector rejection")
 
     def single_descendant_prob(self) -> float:
         """P(cluster size = 1): the chance one big jump shows up alone."""
@@ -348,17 +351,12 @@ def _pattern_sums(model: DisplacementModel, v: int, cache: dict) -> np.ndarray:
     if v > _MAX_PATTERN_BROOD:
         raise ValueError(f"pattern enumeration over 2^{v} patterns refused")
     sums = np.zeros(v + 1)
-    if model.mode == "iid":
-        sums[1] = v * model.p
-    elif model.mode == "full_dep":
-        sums[v] = model.p
-    else:
-        for k in range(1, v + 1):
-            for ones in itertools.combinations(range(v), k):
-                bits = [0] * v
-                for j in ones:
-                    bits[j] = 1
-                sums[k] += pattern_mass(model, Pattern(tuple(bits)))
+    for k in range(1, v + 1):
+        for ones in itertools.combinations(range(v), k):
+            bits = [0] * v
+            for j in ones:
+                bits[j] = 1
+            sums[k] += pattern_mass(model, Pattern(tuple(bits)))
     cache[v] = sums
     return sums
 

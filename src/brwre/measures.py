@@ -50,8 +50,6 @@ class PointMeasure:
         locs, mult = locs[keep], mult[keep]
         if locs.size == 0:
             return cls.empty()
-        order = np.argsort(locs, kind="stable")
-        locs, mult = locs[order], mult[order]
         uniq, inverse = np.unique(locs, return_inverse=True)
         summed = np.zeros(uniq.size, dtype=np.int64)
         np.add.at(summed, inverse, mult)

@@ -28,7 +28,7 @@ from brwre.limit_laws import (
     sample_q,
 )
 from brwre.offspring import Deterministic, Poisson, extinct_prob_by_gen
-from brwre.stats import Ecdf, count_distribution_tv
+from brwre.stats import Ecdf, count_distribution_tv, ks_distance
 
 from test_brw import _random_config, outcomes_equal
 
@@ -92,8 +92,7 @@ def binary_signed_n14():
 
 
 def grid_ks_from(samples, oracle) -> float:
-    ecdf = Ecdf.from_samples(samples)
-    return float(np.abs(ecdf.eval(GRID) - np.array([oracle(x) for x in GRID])).max())
+    return ks_distance(Ecdf.from_samples(samples), oracle, GRID)
 
 
 def test_criterion_01_binary_iid_max_law(binary_iid_n14):

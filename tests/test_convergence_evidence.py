@@ -10,6 +10,8 @@ normalisation outgrows the drift, and vanishes outright when the signed
 balance removes the drift.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from brwre.limit_laws import (
     top_two_cdf_multiplicity_adjusted,
 )
 from brwre.offspring import Deterministic
-from brwre.stats import count_distribution_tv
+from brwre.stats import Ecdf, count_distribution_tv, ks_distance
 
 GRID = np.array([0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
 BINARY = EnvironmentModel.single(Deterministic(2))
@@ -52,8 +54,7 @@ def run_stats(n, reps, p, seed):
 
 
 def grid_ks(samples, q) -> float:
-    emp = (samples[:, None] <= GRID).mean(axis=0)
-    return float(np.abs(emp - np.exp(-q * GRID ** -2.0)).max())
+    return ks_distance(Ecdf.from_samples(samples), lambda x: math.exp(-q * x ** -2.0), GRID)
 
 
 @pytest.mark.slow

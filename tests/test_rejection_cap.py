@@ -1,0 +1,134 @@
+"""The one give-up rule: every survival restart and rejection sampler stops
+after ``errors._REJECTION_CAP`` attempts with RejectionCapExceeded.
+
+The call-site tests lower the cap by monkeypatching; the CLI tests lower it in
+a subprocess and bound the run with a timeout, so a loop that ignores the cap
+fails the test instead of hanging it.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from brwre import errors
+from brwre.brw import SimConfig, simulate, simulate_naive
+from brwre.config import dump_config, load_config
+from brwre.displacement import DisplacementModel
+from brwre.environment import EnvironmentModel
+from brwre.errors import RejectionCapExceeded
+from brwre.limit_laws import ClusterSampler, EnvStream, LimitConfig, sample_martingale_limit
+from brwre.offspring import Deterministic, Poisson
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BINARY = EnvironmentModel.single(Deterministic(2))
+# subcritical: a tree survives 40 generations with probability below 0.5^40
+SUBCRITICAL = EnvironmentModel.single(Poisson(0.5))
+CAP = 50
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    monkeypatch.setattr(errors, "_REJECTION_CAP", CAP)
+
+
+def test_first_accepted_returns_first_result():
+    seen = []
+
+    def attempt(k):
+        seen.append(k)
+        return k if k == 3 else None
+
+    assert errors.first_accepted(attempt, "widget") == 3
+    assert seen == [0, 1, 2, 3]
+
+
+def test_first_accepted_gives_up_at_cap(small_cap):
+    seen = []
+    with pytest.raises(RejectionCapExceeded, match=f"widget: no accepted attempt in {CAP} attempts"):
+        errors.first_accepted(seen.append, "widget")
+    assert seen == list(range(CAP))
+
+
+@pytest.mark.parametrize("sim", [simulate, simulate_naive])
+def test_simulator_survival_restart_gives_up(small_cap, sim):
+    cfg = SimConfig(n=40, env=SUBCRITICAL, disp=DisplacementModel.iid(2.0, 1.0), seed=1)
+    with pytest.raises(RejectionCapExceeded, match=f"survival restart.*{CAP} attempts"):
+        sim(cfg)
+
+
+def test_martingale_survival_restart_gives_up(small_cap, rng):
+    assert sample_martingale_limit(SUBCRITICAL, 30, False, rng) == 0.0
+    with pytest.raises(RejectionCapExceeded, match=f"martingale limit W.*{CAP} attempts"):
+        sample_martingale_limit(SUBCRITICAL, 30, True, rng)
+
+
+def test_beyond_cap_cluster_draw_gives_up(small_cap, monkeypatch, rng):
+    # binary genealogy with degree cap 4: Z_3 = 8 always falls in the beyond-cap
+    # bucket, and a population walk that dies out never lands past the cap
+    cfg = LimitConfig(degree_cap=4)
+    sampler = ClusterSampler(EnvStream(BINARY, rng, cfg.degree_cap), cfg)
+    walks = []
+
+    def extinct_walk(self, i, rng):
+        walks.append(i)
+        return 0
+
+    monkeypatch.setattr(EnvStream, "simulate_population", extinct_walk)
+    with pytest.raises(RejectionCapExceeded, match=f"beyond-cap cluster draw.*{CAP} attempts"):
+        sampler._draw_size(3, rng, conditioned=True)
+    assert walks == [3] * CAP
+
+
+def test_brood_vector_rejection_gives_up(small_cap, monkeypatch, rng):
+    sampler = ClusterSampler(EnvStream(BINARY, rng, 64), LimitConfig(degree_cap=64))
+    draws = []
+
+    def extinct(self, i, rng, conditioned):
+        draws.append(i)
+        return 0
+
+    monkeypatch.setattr(ClusterSampler, "_draw_size", extinct)
+    with pytest.raises(RejectionCapExceeded, match=f"brood-vector rejection.*{CAP} attempts"):
+        sampler.sample_brood_vector(rng)
+    assert len(draws) == 2 * CAP  # every binary brood has two members
+
+
+def _run_with_cap(tmp_path, command, cap=2000, timeout=60):
+    """``brwre <command> --reps 1`` on the binary config with a {Poisson(0.5)}
+    environment, conditioned at n = 40, in a subprocess whose cap is ``cap``."""
+    base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
+    cfg = dataclasses.replace(
+        base,
+        environment=SUBCRITICAL,
+        simulation=dataclasses.replace(base.simulation, n=(40,)),
+        output_dir=str(tmp_path / "out"),
+    )
+    assert cfg.simulation.condition_on_survival
+    path = tmp_path / "subcritical.yaml"
+    path.write_text(dump_config(cfg))
+    code = (
+        "import sys\n"
+        "from brwre import errors\n"
+        f"errors._REJECTION_CAP = {cap}\n"
+        "from brwre.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, command, "--config", str(path), "--reps", "1"],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+@pytest.mark.parametrize("command", ["limit", "simulate"])
+def test_cli_subcritical_exits_3_with_record(tmp_path, command):
+    proc = _run_with_cap(tmp_path, command)
+    assert proc.returncode == 3, proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert record["error"] == "RejectionCapExceeded"
+    assert "2000 attempts" in record["message"]
