@@ -1,8 +1,9 @@
+import dataclasses
 import importlib.util
 import json
 import os
 
-from brwre.config import load_config
+from brwre.config import SimSettings, dump_config, load_config
 from brwre.offspring import Finite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -61,6 +62,18 @@ def test_output_digests_derives_uncovered_scenarios(tmp_path):
     cfgs = [load_config(path) for path in paths]
     assert sorted(cfg.displacement.mode for cfg in cfgs) == ["discrete_angular", "full_dep", "iid"]
     assert any(isinstance(law, Finite) for cfg in cfgs for law in cfg.environment.support)
+
+
+def test_output_digests_lists_commands_that_write_nothing(tmp_path, monkeypatch):
+    # a population cap of 4 stops every simulating command with exit 3 before it writes
+    base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
+    capped = dataclasses.replace(base, simulation=SimSettings(n=(3,), replications=2, population_cap=4))
+    path = tmp_path / "capped.yaml"
+    path.write_text(dump_config(capped))
+    monkeypatch.chdir(tmp_path)
+    lines = _load_tool("output_digests").digest_config(str(path), 1, 1)
+    assert "exit 0  capped/check" in lines and "exit 3  capped/simulate" in lines
+    assert not any(line.endswith("capped/simulate/summary_n3.csv") for line in lines)
 
 
 def test_perfbench_tracer_installs():

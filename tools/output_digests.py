@@ -85,7 +85,8 @@ def digest_config(config: str, reps: int, threads: int) -> list:
             code = brwre_main(argv)
         lines.append(f"exit {code}  {name}/{command}")
         lines.append(f"{sha256(stdout.getvalue().encode())}  {name}/{command}/stdout")
-        for fname in sorted(os.listdir(out)):
+        # a command that stopped before writing (exit 2 or 3) leaves no directory
+        for fname in sorted(os.listdir(out)) if os.path.isdir(out) else []:
             with open(os.path.join(out, fname), "rb") as fh:
                 lines.append(f"{sha256(fh.read())}  {name}/{command}/{fname}")
     return lines
