@@ -134,6 +134,7 @@ class ExperimentConfig:
             condition_on_survival=self.simulation.condition_on_survival,
             jump_eta=self.simulation.jump_eta,
             seed=self.seed,
+            track_argmax_jump=False,  # no CLI output reads max_leaf_jump_gen
         )
 
 

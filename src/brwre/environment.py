@@ -42,9 +42,6 @@ class EnvironmentModel:
         """``n`` law indices, or one index when ``n`` is None."""
         return np.searchsorted(self._cuts, rng.random(n), side="right")
 
-    def min_support_mean(self) -> float:
-        return float(self._means.min())
-
 
 @dataclass
 class EnvSequence:

@@ -13,7 +13,7 @@ class PopulationCapExceeded(BrwreError):
 
 
 class NonGeometricGrowth(BrwreError):
-    """A quenched series could not certify its tail within the term budget."""
+    """A quenched series has no tail rule, or did not meet it within the term budget."""
 
 
 class UnboundedProgenyInGeneralMode(BrwreError):

@@ -7,8 +7,8 @@ grown for i generations with the newest drawn law at the root.  The pmfs come
 from a :class:`GenSizeCache`, which streams of one command may share: the pmf
 of Z_i depends only on the laws of generations 0..i-1.
 
-The normalizing series are summed by one loop with a geometric tail bound
-(a certificate only when every support law has mean > 1); the cluster
+The normalizing series are summed by one loop with one tail rule read from
+the model (certified for every stream, or in expectation); the cluster
 samplers draw a generation index from the series terms and then the size (or
 brood vector) from the cached truncated pmfs, each by one search of a
 cut-point table (:func:`brwre.offspring.cut_points`).  One count-level
@@ -19,7 +19,6 @@ population walk serves both the martingale limit W (frozen once Z reaches
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -37,9 +36,6 @@ from .errors import (
 from .measures import PointMeasure
 from .offspring import TruncatedPMF, compose_generation, cut_points
 
-# Window of realized per-step mean ratios used when the model's worst-case
-# mean does not certify geometric growth on its own.
-_GROWTH_WINDOW = 8
 # Population walks for W stop once Z reaches this: the martingale value is
 # frozen to ~1e-6 relative accuracy and its conditional mean kept exactly.
 _FREEZE_POPULATION = 1_000_000_000_000
@@ -65,8 +61,8 @@ class LimitConfig:
     def __post_init__(self):
         if not 0.0 < self.series_tol < 1.0:
             raise ValueError("series_tol must lie in (0, 1)")
-        if self.w_horizon < 1 or self.max_terms < 1 or self.degree_cap < 1:
-            raise ValueError("w_horizon, max_terms and degree_cap must be >= 1")
+        if min(self.w_horizon, self.max_terms, self.degree_cap, self.n_limit_samples) < 1:
+            raise ValueError("w_horizon, max_terms, degree_cap and n_limit_samples must be >= 1")
         if not self.u_min > 0.0:
             raise ValueError("u_min must be positive")
 
@@ -76,6 +72,7 @@ class SeriesValue:
     value: float
     tail_bound: float
     terms_used: int
+    certified: str  # "deterministic" (every stream) or "annealed" (in expectation)
 
 
 @dataclass
@@ -208,30 +205,35 @@ SERIES_KINDS = tuple(kind for kind in _SERIES if not kind.startswith("_"))
 def _certified_sum(
     term, stream: EnvStream, cfg: LimitConfig, shift: int, name: str
 ) -> Tuple[SeriesValue, np.ndarray]:
-    """Sum ``term(0) + term(1) + ...`` until a geometric tail bound stops it.
+    """Sum ``term(0) + term(1) + ...`` (term i realizes generation i) until the
+    tail bound (1/pi_{i+shift}) / excess falls below ``series_tol`` * value.
 
-    After term i the rest is bounded by (1/pi_{i+shift}) / (growth - 1): each
-    term j is at most 1/pi_{j+shift}, and pi is taken to grow at least
-    geometrically at rate ``growth``.  The bound certifies the tail
-    only when every support law has mean > 1 (``growth`` is then the smallest
-    support mean).  Otherwise ``growth`` is the smallest realized mean of the
-    last ``_GROWTH_WINDOW`` laws, a heuristic: a slower future of the stream
-    can leave a truncation error above the reported ``tail_bound``.
+    Each term j is at most 1/pi_{j+shift}.  If every support mean exceeds 1,
+    the smallest being g, excess = g - 1 bounds every stream's tail
+    (``deterministic``).  Otherwise, with a = E[1/m(Y)] < 1, excess =
+    (1 - a)/a makes the bound the expected tail given the realized prefix: it
+    holds in expectation, not stream by stream (``annealed``).  a >= 1 raises.
     """
-    g_model = stream.model.min_support_mean()
+    support = stream.model.support
+    g = min(law.mean() for law in support)
+    if g > 1.0:
+        excess, certified = g - 1.0, "deterministic"
+    else:
+        a = sum(w / law.mean() for law, w in zip(support, stream.model.weights))
+        if a >= 1.0:
+            raise NonGeometricGrowth(f"{name} has no geometric tail: E[1/m(Y)] = {a:.6g} >= 1")
+        excess, certified = (1.0 - a) / a, "annealed"
     terms: List[float] = []
     value = 0.0
-    recent = deque(maxlen=_GROWTH_WINDOW)
     for i in range(cfg.max_terms):
         t = term(i)
+        stream.law(i)  # realize generation i: every series draws terms_used laws
         terms.append(t)
         value += t
-        recent.append(stream.law(i).mean())
-        growth = g_model if g_model > 1.0 else min(recent)
-        if growth > 1.0 and value > 0.0:
-            tail = (1.0 / stream.pi(i + shift)) / (growth - 1.0)
+        if value > 0.0:
+            tail = (1.0 / stream.pi(i + shift)) / excess
             if tail < cfg.series_tol * value:
-                return SeriesValue(value, tail, i + 1), np.asarray(terms)
+                return SeriesValue(value, tail, i + 1, certified), np.asarray(terms)
     raise NonGeometricGrowth(f"{name} did not certify its tail within {cfg.max_terms} terms")
 
 

@@ -154,6 +154,17 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
             assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    # a limit command needs at least one limit draw
+    for value in (0, -1):
+        doc = config_to_dict(small_config())
+        doc["limit"]["n_limit_samples"] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+        path.write_text(yaml.safe_dump(doc))
+        for command in ("check", "limit", "compare"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
     path.write_text(yaml.safe_dump(config_to_dict(small_config())))
     for command in ("simulate", "limit"):
         for reps in ("-3", "0"):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats as st
 
 from brwre.displacement import DisplacementModel
-from brwre.environment import EnvironmentModel
+from brwre.environment import EnvironmentModel, check_assumptions
 from brwre.errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode
 from brwre import limit_laws
 from brwre.limit_laws import (
@@ -101,6 +101,67 @@ def test_series_non_geometric_growth():
     critical = EnvironmentModel.single(Deterministic(1))
     with pytest.raises(NonGeometricGrowth):
         cluster_norm_series("inverse_mean", fresh_stream(critical, np.random.default_rng(0)), CFG)
+
+
+def test_series_deterministic_rule_when_every_mean_exceeds_one(rng):
+    # the bound (1/pi_{i+shift}) / (g - 1), g the smallest support mean
+    for model in (BINARY, MIXTURE):
+        g = min(law.mean() for law in model.support)
+        for kind, (_, shift) in limit_laws._SERIES.items():
+            stream = fresh_stream(model, rng)
+            sv = cluster_norm_series(kind, stream, CFG)
+            assert sv.certified == "deterministic"
+            assert sv.tail_bound == (1.0 / stream.pi(sv.terms_used - 1 + shift)) / (g - 1.0)
+
+
+# a = E[1/m(Y)] = 0.2/0.9 + 0.8/4 = 0.42 and E[1/m(Y)^2] = 0.30 < 1, so the
+# ratio of the truncation error to the annealed bound has finite variance
+ANNEALED = EnvironmentModel((Poisson(0.9), Poisson(4.0)), (0.2, 0.8))
+
+
+@pytest.mark.parametrize("kind", ["inverse_mean", "cluster_size"])
+def test_series_annealed_bound_holds_in_expectation(kind):
+    # Stream count fixed beforehand from a 1000-stream pilot on another seed:
+    # the ratio's sd was about 0.96 (inverse_mean) and 0.51 (cluster_size), so
+    # 400 streams give 4 se of about 0.19 and 0.10, below the excess of the
+    # realized-mean window this rule replaced (mean ratio 1.30 and 1.14).
+    n_streams, extra = 400, 300
+    term = limit_laws._SERIES[kind][0]
+    rng = np.random.default_rng(90210)
+    ratios = np.empty(n_streams)
+    for r in range(n_streams):
+        stream = fresh_stream(ANNEALED, rng)
+        sv = cluster_norm_series(kind, stream, CFG)
+        assert sv.certified == "annealed"
+        rest = sum(term(stream, j) for j in range(sv.terms_used, sv.terms_used + extra))
+        ratios[r] = rest / sv.tail_bound
+    se = ratios.std(ddof=1) / math.sqrt(n_streams)
+    assert ratios.mean() <= 1.0 + 4.0 * se
+
+
+def test_series_refused_when_expected_tail_diverges():
+    # E log m = log(5)/2 > 0, but a = E[1/m(Y)] = 0.5/0.5 + 0.5/10 = 1.05
+    model = EnvironmentModel((Poisson(0.5), Poisson(10.0)), (0.5, 0.5))
+    assert check_assumptions(model).verdict == "SupercriticalOK"
+    for kind in limit_laws._SERIES:
+        stream = fresh_stream(model, np.random.default_rng(0))
+        with pytest.raises(NonGeometricGrowth, match="1.05"):
+            limit_laws._series_terms(kind, stream, CFG)
+        assert len(stream._indices) == 0
+
+
+def test_every_series_draws_terms_used_laws(rng):
+    # the next draw reads the same rng, so a series on a fresh stream must
+    # realize exactly the generations it summed
+    for kind in limit_laws._SERIES:
+        for _ in range(20):
+            stream = fresh_stream(MIXTURE, rng)
+            sv = limit_laws._series_terms(kind, stream, CFG)[0]
+            assert len(stream._indices) == sv.terms_used
+    for _ in range(20):
+        stream = fresh_stream(BOUNDED_MIX, rng)
+        sv = limit_laws._general_q_series(DisplacementModel.iid(2.0, 0.6), stream, CFG)
+        assert len(stream._indices) == sv.terms_used
 
 
 def test_vector_norm_matches_direct_enumeration(rng):

@@ -60,8 +60,10 @@ def test_bench_record_pairs_seeds_and_applies_gain_rule(tmp_path):
 def test_output_digests_derives_uncovered_scenarios(tmp_path):
     paths = _load_tool("output_digests").derived_configs(str(tmp_path))
     cfgs = [load_config(path) for path in paths]
-    assert sorted(cfg.displacement.mode for cfg in cfgs) == ["discrete_angular", "full_dep", "iid"]
+    assert sorted(cfg.displacement.mode for cfg in cfgs) == ["discrete_angular", "full_dep", "iid", "iid"]
     assert any(isinstance(law, Finite) for cfg in cfgs for law in cfg.environment.support)
+    # a law of mean <= 1 puts the quenched series on the annealed tail rule
+    assert any(law.mean() <= 1.0 for cfg in cfgs for law in cfg.environment.support)
 
 
 def test_output_digests_lists_commands_that_write_nothing(tmp_path, monkeypatch):

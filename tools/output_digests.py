@@ -35,7 +35,7 @@ import yaml
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from brwre import Binomial, DisplacementModel, EnvironmentModel, Finite, Geometric  # noqa: E402
+from brwre import Binomial, DisplacementModel, EnvironmentModel, Finite, Geometric, Poisson  # noqa: E402
 from brwre.cli import main as brwre_main  # noqa: E402
 from brwre.config import config_to_dict, load_config  # noqa: E402
 
@@ -49,17 +49,23 @@ def sha256(data: bytes) -> str:
 def derived_configs(directory: str) -> list:
     """Write the scenarios the shipped configs leave out to ``directory``.
 
-    Both shipped configs are iid with no finite-support environment, so the
-    binary config is rewritten (through ``config_to_dict``) with fully
-    dependent displacements, with a two-coordinate angular model, and with a
-    {finite, binomial, geometric} environment.  Returns the YAML paths.
+    Both shipped configs are iid with no finite-support environment and no
+    law of mean <= 1, so the binary config is rewritten (through
+    ``config_to_dict``) with fully dependent displacements, with a
+    two-coordinate angular model, with a {finite, binomial, geometric}
+    environment, and with {Poisson(0.9) w.p. 0.2, Poisson(4) w.p. 0.8} at
+    n = 8, whose series stop on the annealed tail rule.  Returns the YAML paths.
     """
     base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
     mixture = EnvironmentModel((Finite((0.2, 0.3, 0.5)), Binomial(3, 0.8), Geometric(0.6)), (0.3, 0.4, 0.3))
+    annealed = EnvironmentModel((Poisson(0.9), Poisson(4.0)), (0.2, 0.8))
     scenarios = {
         "binary_full_dep": dataclasses.replace(base, displacement=DisplacementModel.full_dep(2.0, 0.5)),
         "binary_angular": dataclasses.replace(base, displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)),
         "binary_finite_mixture": dataclasses.replace(base, environment=mixture),
+        "binary_annealed": dataclasses.replace(
+            base, environment=annealed, simulation=dataclasses.replace(base.simulation, n=(8,))
+        ),
     }
     paths = []
     for name, cfg in scenarios.items():
