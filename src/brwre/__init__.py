@@ -38,7 +38,6 @@ from .errors import (
 from .limit_laws import (
     ClusterSampler,
     EnvStream,
-    GenSizeCache,
     LimitConfig,
     QSample,
     SeriesValue,

@@ -85,6 +85,8 @@ def cmd_check(cfg: ExperimentConfig) -> int:
     print(f"E log E(xi|Y):      {report.e_log_mean:.6g}")
     print(f"E |log P(xi>1|Y)|:  {report.e_abs_log_p_gt1:.6g}")
     print(f"x log x moment:     {report.kesten_stigum_term:.6g}")
+    print(f"E 1/E(xi|Y):        {report.e_inverse_mean:.6g}")
+    print(f"series tail:        {report.series_tail}")
     _write_json(cfg, "check.json", dataclasses.asdict(report))
     return 0
 
@@ -138,13 +140,9 @@ def _draw_q_samples(cfg: ExperimentConfig, size: int) -> List[QSample]:
 
 def _draw_pp(cfg: ExperimentConfig, size: int):
     rng = brw.replication_rng(cfg.seed, _PP_STREAM)
-    # one pmf cache per call: it must not outlive the command
-    cache = limit_laws.GenSizeCache(cfg.environment, cfg.limit.degree_cap)
     draws, scales = [], np.empty(size)
     for i in range(size):
-        m, s = limit_laws.sample_limit_point_process(
-            cfg.displacement, cfg.environment, cfg.limit, rng, cache
-        )
+        m, s = limit_laws.sample_limit_point_process(cfg.displacement, cfg.environment, cfg.limit, rng)
         draws.append(m)
         scales[i] = s
     return draws, scales
@@ -177,7 +175,8 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     doc = {"note": "quenched values for one realized environment draw", "constants": constants}
     _write_json(cfg, "constants.json", doc)
     for kind, doc in constants.items():
-        print(f"{kind}: {doc['value']:.12g} (tail <= {doc['tail_bound']:.3g}, {doc['terms_used']} terms)")
+        tail = "tail <=" if doc["certified"] == "deterministic" else "expected tail"
+        print(f"{kind}: {doc['value']:.12g} ({tail} {doc['tail_bound']:.3g}, {doc['terms_used']} terms)")
     return 0
 
 

@@ -1,11 +1,12 @@
 """The i.i.d. random environment: sampling (one search of the weights' cut-point
-table per law index), expected-size products, diagnostics."""
+table per law index), expected-size products, the tail rule of the quenched
+series, diagnostics."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -62,13 +63,34 @@ def sample_env(model: EnvironmentModel, n: int, rng) -> EnvSequence:
     return EnvSequence(laws=laws, law_indices=idx, pi=pi)
 
 
+def series_tail(model: EnvironmentModel) -> Tuple[float, str, float]:
+    """The tail rule of every quenched series: ``(excess, status, a)``, a = E[1/m(Y)].
+
+    Term j of a series is at most 1/pi_{j+shift}, and (1/pi_{i+shift}) / excess
+    bounds its tail past term i.  If every support mean exceeds 1, the
+    smallest being g, excess = g - 1 bounds every stream's tail
+    (``deterministic``).  Otherwise excess = (1 - a)/a makes the bound the
+    expected tail given the realized prefix, which holds in expectation, not
+    stream by stream (``annealed``), as long as a < 1; a >= 1 leaves no
+    geometric tail (``refused``).
+    """
+    g = min(law.mean() for law in model.support)
+    a = sum(w / law.mean() for law, w in zip(model.support, model.weights))
+    if g > 1.0:
+        return g - 1.0, "deterministic", a
+    return (1.0 - a) / a, "annealed" if a < 1.0 else "refused", a
+
+
 @dataclass
 class AssumptionReport:
-    """Numeric check of supercriticality and moment conditions."""
+    """Numeric check of supercriticality and moment conditions, and the
+    series tail rule (reported; it does not enter the verdict)."""
 
     e_log_mean: float
     e_abs_log_p_gt1: float
     kesten_stigum_term: float
+    e_inverse_mean: float
+    series_tail: str  # "deterministic" | "annealed" | "refused"
     verdict: str  # "SupercriticalOK" | "Violated"
     reason: Optional[str] = None
 
@@ -116,10 +138,13 @@ def check_assumptions(model: EnvironmentModel) -> AssumptionReport:
     if reason is None and e_log_mean <= 0.0:
         reason = f"E log E(xi|Y) = {e_log_mean:.6g} <= 0"
     verdict = "SupercriticalOK" if reason is None else "Violated"
+    _, tail, a = series_tail(model)
     return AssumptionReport(
         e_log_mean=e_log_mean,
         e_abs_log_p_gt1=e_abs_log,
         kesten_stigum_term=ks_term,
+        e_inverse_mean=a,
+        series_tail=tail,
         verdict=verdict,
         reason=reason,
     )

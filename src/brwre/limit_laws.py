@@ -3,48 +3,37 @@
 Everything quenched lives on an :class:`EnvStream`: a lazily realized i.i.d.
 environment with cached mean products, extinction probabilities and truncated
 generation-size pmfs, all indexed so that entry i describes the population
-grown for i generations with the newest drawn law at the root.  The pmfs come
-from a :class:`GenSizeCache`, which streams of one command may share: the pmf
-of Z_i depends only on the laws of generations 0..i-1.
+grown for i generations with the newest drawn law at the root.  The pmfs serve
+:meth:`ClusterSampler.single_descendant_prob`; no sampler reads them.
 
 The normalizing series are summed by one loop with one tail rule read from
-the model (certified for every stream, or in expectation); the cluster
-samplers draw a generation index from the series terms and then the size (or
-brood vector) from the cached truncated pmfs, each by one search of a
-cut-point table (:func:`brwre.offspring.cut_points`).  One count-level
-population walk serves both the martingale limit W (frozen once Z reaches
-10^12) and the rare cluster mass past the degree cap (stopped past 10^14).
+the model (:func:`brwre.environment.series_tail`: certified for every stream,
+or in expectation); the cluster samplers draw a generation index from the
+series terms by one search of a cut-point table
+(:func:`brwre.offspring.cut_points`).  One count-level population walk serves
+both the martingale limit W (frozen once Z reaches 10^12) and every cluster
+size (stopped past 10^14).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .displacement import DisplacementModel, Pattern, pattern_mass
-from .environment import EnvironmentModel, sample_env
-from .errors import (
-    ArgumentOrder,
-    NonGeometricGrowth,
-    RejectionCapExceeded,
-    UnboundedProgenyInGeneralMode,
-    first_accepted,
-)
+from .environment import EnvironmentModel, sample_env, series_tail
+from .errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode, first_accepted
 from .measures import PointMeasure
 from .offspring import TruncatedPMF, compose_generation, cut_points
 
 # Population walks for W stop once Z reaches this: the martingale value is
 # frozen to ~1e-6 relative accuracy and its conditional mean kept exactly.
 _FREEZE_POPULATION = 1_000_000_000_000
-# Beyond-cap walks stop past 10^14, far past every cap, before samplers overflow.
-_BEYOND_CAP_STOP = 10 ** 14 + 1
-# Bytes of pmf coefficients one GenSizeCache stores; past it, pmfs are
-# composed as before but no longer kept (no eviction: the shallow prefixes,
-# stored first, are the ones most draws reach).
-_CACHE_BYTES = 64 << 20
+# Cluster-size walks stop past 10^14, before the count samplers overflow.
+_SIZE_STOP = 10 ** 14 + 1
 # Pattern enumeration is 2^v; refuse silly brood sizes.
 _MAX_PATTERN_BROOD = 20
 
@@ -89,51 +78,13 @@ class QSample:
     c_value: float
 
 
-class GenSizeCache:
-    """Truncated pmfs of Z_i keyed by the law indices of generations 0..i-1.
+class EnvStream:
+    """A lazily drawn independent environment with cached quenched data."""
 
-    Composition is deterministic, so every stream that draws the same index
-    prefix gets the same pmf, bit for bit.  Bound to one environment model
-    and degree cap; stored ``probs`` are read-only because streams share them.
-    At most ``_CACHE_BYTES`` of coefficients are kept.
-    """
-
-    def __init__(self, model: EnvironmentModel, degree_cap: int):
+    def __init__(self, model: EnvironmentModel, rng, degree_cap: int):
         self.model = model
         self.degree_cap = degree_cap
-        self.nbytes = 0
-        self._pmfs: Dict[Tuple[int, ...], TruncatedPMF] = {}
-
-    def __len__(self) -> int:
-        return len(self._pmfs)
-
-    def extend(self, prefix: Tuple[int, ...], law, base: TruncatedPMF) -> TruncatedPMF:
-        """The pmf of ``prefix``: ``base`` (the pmf of ``prefix[:-1]``) under ``law``."""
-        pmf = self._pmfs.get(prefix)
-        if pmf is None:
-            pmf = compose_generation(law, base, self.degree_cap)
-            pmf.probs.flags.writeable = False
-            if self.nbytes + pmf.probs.nbytes <= _CACHE_BYTES:
-                self._pmfs[prefix] = pmf
-                self.nbytes += pmf.probs.nbytes
-        return pmf
-
-
-class EnvStream:
-    """A lazily drawn independent environment with cached quenched data.
-
-    Without ``cache`` the stream composes its pmfs into a private
-    :class:`GenSizeCache`; pass one to share them with other streams.
-    """
-
-    def __init__(self, model: EnvironmentModel, rng, degree_cap: int, cache: Optional[GenSizeCache] = None):
-        if cache is None:
-            cache = GenSizeCache(model, degree_cap)
-        elif cache.model != model or cache.degree_cap != degree_cap:
-            raise ValueError("the pmf cache is bound to another environment model or degree cap")
-        self.model = model
         self._rng = rng
-        self._cache = cache
         self._indices: List[int] = []
         self._pi: List[float] = [1.0]
         self._extinct: List[float] = [0.0]
@@ -162,16 +113,15 @@ class EnvStream:
         return self._extinct[i]
 
     def gen_size_pmf(self, i: int) -> TruncatedPMF:
-        """Truncated pmf of Z_i, extended by outer composition through the cache."""
+        """Truncated pmf of Z_i (degree at most ``degree_cap``), extended by outer composition."""
         while len(self._pmfs) <= i:
-            j = len(self._pmfs)
-            law = self.law(j - 1)
-            self._pmfs.append(self._cache.extend(tuple(self._indices[:j]), law, self._pmfs[-1]))
+            law = self.law(len(self._pmfs) - 1)
+            self._pmfs.append(compose_generation(law, self._pmfs[-1], self.degree_cap))
         return self._pmfs[i]
 
     def simulate_population(self, i: int, rng) -> int:
         """Count-level draw of Z_i under this environment, newest law at the root."""
-        return _population_walk([self.law(j) for j in range(i - 1, -1, -1)], _BEYOND_CAP_STOP, rng)[0]
+        return _population_walk([self.law(j) for j in range(i - 1, -1, -1)], _SIZE_STOP, rng)[0]
 
 
 def _population_walk(laws, stop: int, rng) -> Tuple[int, int]:
@@ -208,21 +158,13 @@ def _certified_sum(
     """Sum ``term(0) + term(1) + ...`` (term i realizes generation i) until the
     tail bound (1/pi_{i+shift}) / excess falls below ``series_tol`` * value.
 
-    Each term j is at most 1/pi_{j+shift}.  If every support mean exceeds 1,
-    the smallest being g, excess = g - 1 bounds every stream's tail
-    (``deterministic``).  Otherwise, with a = E[1/m(Y)] < 1, excess =
-    (1 - a)/a makes the bound the expected tail given the realized prefix: it
-    holds in expectation, not stream by stream (``annealed``).  a >= 1 raises.
+    Each term j is at most 1/pi_{j+shift}; ``excess`` and the certification
+    status come from :func:`brwre.environment.series_tail`, and a ``refused``
+    tail raises before the first term.
     """
-    support = stream.model.support
-    g = min(law.mean() for law in support)
-    if g > 1.0:
-        excess, certified = g - 1.0, "deterministic"
-    else:
-        a = sum(w / law.mean() for law, w in zip(support, stream.model.weights))
-        if a >= 1.0:
-            raise NonGeometricGrowth(f"{name} has no geometric tail: E[1/m(Y)] = {a:.6g} >= 1")
-        excess, certified = (1.0 - a) / a, "annealed"
+    excess, certified, a = series_tail(stream.model)
+    if certified == "refused":
+        raise NonGeometricGrowth(f"{name} has no geometric tail: E[1/m(Y)] = {a:.6g} >= 1")
     terms: List[float] = []
     value = 0.0
     for i in range(cfg.max_terms):
@@ -290,34 +232,12 @@ class ClusterSampler:
         self.size_norm, terms = _series_terms("cluster_size", stream, cfg)
         self._size_table = cut_points(terms)
         self._vec_table = cut_points(_series_terms("_inverse_mean_next", stream, cfg)[1])
-        self._pmf_tables: dict = {}
 
     def _draw_size(self, i: int, rng, conditioned: bool) -> int:
-        """Z_i draw from the cached truncated pmf, conditioned on >= 1 if asked.
-
-        The last category of the pmf's table, the mass past the degree cap, is
-        resolved by direct population simulation conditioned to land past it.
-        """
-        if i == 0:
-            return 1
-        key = (i, conditioned)
-        if key not in self._pmf_tables:
-            pmf = self.stream.gen_size_pmf(i)
-            start = 1 if conditioned else 0
-            weights = np.append(pmf.probs[start:], pmf.mass_beyond)
-            if not weights.any():
-                raise RejectionCapExceeded(f"generation {i} has no reachable mass")
-            self._pmf_tables[key] = (start, pmf.degree, cut_points(weights))
-        start, degree, table = self._pmf_tables[key]
-        z = start + _draw_category(table, rng)
-        if z <= degree:
-            return z
-
-        def attempt(_) -> Optional[int]:
-            z = self.stream.simulate_population(i, rng)
-            return z if z > degree else None
-
-        return first_accepted(attempt, "beyond-cap cluster draw")
+        """Z_i by the count-level population walk, conditioned on >= 1 if asked."""
+        if not conditioned:
+            return self.stream.simulate_population(i, rng)
+        return first_accepted(lambda _: self.stream.simulate_population(i, rng) or None, "cluster size draw")
 
     def sample_size(self, rng) -> int:
         """The number of final-generation descendants of one big jump."""
@@ -346,10 +266,10 @@ class ClusterSampler:
         return total / self.size_norm.value
 
 
-def _pattern_sums(model: DisplacementModel, v: int, cache: dict) -> np.ndarray:
+def _pattern_sums(model: DisplacementModel, v: int, memo: dict) -> np.ndarray:
     """S[k] = total pattern mass over length-v patterns with k exceedances."""
-    if v in cache:
-        return cache[v]
+    if v in memo:
+        return memo[v]
     if v > _MAX_PATTERN_BROOD:
         raise ValueError(f"pattern enumeration over 2^{v} patterns refused")
     sums = np.zeros(v + 1)
@@ -359,7 +279,7 @@ def _pattern_sums(model: DisplacementModel, v: int, cache: dict) -> np.ndarray:
             for j in ones:
                 bits[j] = 1
             sums[k] += pattern_mass(model, Pattern(tuple(bits)))
-    cache[v] = sums
+    memo[v] = sums
     return sums
 
 
@@ -374,7 +294,7 @@ def _general_q_series(
         )
     if disp.mode == "discrete_angular" and max(vmaxes) > disp.n_coords:
         raise ValueError("progeny support exceeds the angular coordinate count")
-    cache: dict = {}
+    memo: dict = {}
 
     def term(i: int) -> float:
         law = stream.law(i)
@@ -384,7 +304,7 @@ def _general_q_series(
             pv = law.pmf(v)
             if pv == 0.0:
                 continue
-            sums = _pattern_sums(disp, v, cache)
+            sums = _pattern_sums(disp, v, memo)
             ks = np.arange(1, v + 1)
             inner += pv * float((1.0 - e_i ** ks) @ sums[1:])
         return inner / stream.pi(i + 1)
@@ -493,7 +413,6 @@ def sample_limit_point_process(
     env_model: EnvironmentModel,
     cfg: LimitConfig,
     rng,
-    cache: Optional[GenSizeCache] = None,
 ) -> Tuple[PointMeasure, float]:
     """One draw of the limit extremal process, plus its realized scale.
 
@@ -501,12 +420,10 @@ def sample_limit_point_process(
     every point carries a cluster drawn from the quenched laws of a fresh
     environment, and the whole picture is scaled by
     (series * martingale_limit)^(1/alpha).  Atoms below scale * u_min are not
-    represented, so test functionals must stay above that floor.  Draws that
-    share ``cache`` share its generation-size pmfs; the draw itself is the
-    same with or without it.
+    represented, so test functionals must stay above that floor.
     """
     w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng)
-    stream = EnvStream(env_model, rng, cfg.degree_cap, cache)
+    stream = EnvStream(env_model, rng, cfg.degree_cap)
     sampler = ClusterSampler(stream, cfg)
     inv_alpha = 1.0 / disp.alpha
     if disp.mode == "iid":

@@ -46,16 +46,26 @@ def small_config(**kw) -> ExperimentConfig:
 
 
 def test_round_trip_structural_identity():
-    cfg = small_config(
-        environment=EnvironmentModel(
-            (Deterministic(2), Poisson(2.0), Geometric(0.4), Binomial(3, 0.8), Finite((0.2, 0.3, 0.5))),
-            (0.1, 0.2, 0.3, 0.25, 0.15),
+    # angular broods must fit the coordinates, so the unbounded families
+    # round-trip with full dependence and the angular model with bounded laws
+    for cfg in (
+        small_config(
+            environment=EnvironmentModel(
+                (Deterministic(2), Poisson(2.0), Geometric(0.4), Binomial(3, 0.8), Finite((0.2, 0.3, 0.5))),
+                (0.1, 0.2, 0.3, 0.25, 0.15),
+            ),
+            displacement=DisplacementModel.full_dep(1.5, 0.8),
         ),
-        displacement=DisplacementModel.diagonal_angular(1.5, 3, 0.8),
-    )
-    again = config_from_dict(config_to_dict(cfg))
-    assert again == cfg
-    assert config_hash(again) == config_hash(cfg)
+        small_config(
+            environment=EnvironmentModel(
+                (Deterministic(2), Binomial(3, 0.8), Finite((0.2, 0.3, 0.5))), (0.3, 0.45, 0.25)
+            ),
+            displacement=DisplacementModel.diagonal_angular(1.5, 3, 0.8),
+        ),
+    ):
+        again = config_from_dict(config_to_dict(cfg))
+        assert again == cfg
+        assert config_hash(again) == config_hash(cfg)
 
 
 @given(
@@ -154,6 +164,17 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
             assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    # angular broods must fit the coordinates, for every command
+    for law in ({"family": "deterministic", "k": 3}, {"family": "poisson", "lam": 2.0}):
+        doc = config_to_dict(small_config(displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)))
+        doc["environment"] = {"support": [law], "weights": [1.0]}
+        with pytest.raises(ConfigError, match="2 angular coordinates"):
+            config_from_dict(doc)
+        path.write_text(yaml.safe_dump(json.loads(json.dumps(doc))))
+        for command in ("check", "simulate", "limit"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
     # a limit command needs at least one limit draw
     for value in (0, -1):
         doc = config_to_dict(small_config())
@@ -185,6 +206,36 @@ def test_cli_check(tmp_path, capsys):
     assert code == 0
     assert "SupercriticalOK" in capsys.readouterr().out
     assert os.path.exists(tmp_path / "out" / "check.json")
+
+
+# a = E[1/m(Y)]: 0.5; 0.2/0.9 + 0.8/4 = 0.42; 0.5/0.5 + 0.5/10 = 1.05
+TAIL_CASES = [
+    (EnvironmentModel.single(Deterministic(2)), "deterministic", 0.5),
+    (EnvironmentModel((Poisson(0.9), Poisson(4.0)), (0.2, 0.8)), "annealed", 0.2 / 0.9 + 0.8 / 4.0),
+    (EnvironmentModel((Poisson(0.5), Poisson(10.0)), (0.5, 0.5)), "refused", 1.05),
+]
+
+
+@pytest.mark.parametrize("env, tail, a", TAIL_CASES, ids=[c[1] for c in TAIL_CASES])
+def test_cli_check_reports_series_tail(tmp_path, capsys, env, tail, a):
+    # the tail rule is reported, not judged: the verdict and exit code stay
+    # those of the paper's assumptions, which all three environments meet
+    cfg = small_config(environment=env, output_dir=str(tmp_path / "out"))
+    assert main(["check", "--config", write_config(tmp_path, cfg)]) == 0
+    doc = json.loads((tmp_path / "out" / "check.json").read_text())
+    assert doc["verdict"] == "SupercriticalOK"
+    assert doc["series_tail"] == tail
+    assert doc["e_inverse_mean"] == pytest.approx(a, rel=1e-12)
+    assert f"series tail:        {tail}" in capsys.readouterr().out
+
+
+def test_cli_limit_prints_expected_tail_for_annealed_series(tmp_path, capsys):
+    for env, tail, _ in TAIL_CASES[:2]:
+        cfg = small_config(environment=env, output_dir=str(tmp_path / tail))
+        assert main(["limit", "--config", write_config(tmp_path, cfg), "--reps", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("(tail <= ") == (4 if tail == "deterministic" else 0)
+        assert out.count("(expected tail ") == (0 if tail == "deterministic" else 4)
 
 
 def test_cli_simulate_deterministic_rows(tmp_path):

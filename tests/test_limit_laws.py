@@ -12,7 +12,6 @@ from brwre import limit_laws
 from brwre.limit_laws import (
     ClusterSampler,
     EnvStream,
-    GenSizeCache,
     LimitConfig,
     QSample,
     cluster_norm_series,
@@ -210,10 +209,10 @@ def test_cluster_size_ternary_support(rng):
     assert np.allclose(logs, np.round(logs))
 
 
-def test_cluster_size_poisson_vs_assembled_pmf(rng):
-    # two-route check: sampled frequencies against the pmf assembled from the
-    # quenched generation-size arrays
-    stream = fresh_stream(POISSON2, rng)
+def _check_size_draws_against_assembled_pmf(model, rng) -> EnvStream:
+    """Chi-square of 20 000 ``sample_size`` draws on a fresh stream against the
+    pmf assembled from its composed generation-size pmfs; returns the stream."""
+    stream = fresh_stream(model, rng)
     sampler = ClusterSampler(stream, CFG)
     terms = sampler.size_norm.terms_used
     rmax = 25
@@ -232,6 +231,28 @@ def test_cluster_size_poisson_vs_assembled_pmf(rng):
     exp_k = np.append(expect[keep], expect[~keep].sum())
     stat = float(((obs_k - exp_k) ** 2 / np.maximum(exp_k, 1e-9)).sum())
     assert stat < st.chi2.ppf(0.99, keep.sum())
+    return stream
+
+
+def test_cluster_size_poisson_vs_assembled_pmf(rng):
+    # two-route check: sampled frequencies against the pmf assembled from the
+    # quenched generation-size arrays
+    _check_size_draws_against_assembled_pmf(POISSON2, rng)
+
+
+# Z_2 is 2 Poisson(3) with the Poisson law at the root and Poisson(6) with the
+# other order, so the two orders of a stream's laws give clearly different
+# cluster-size laws (MIXTURE's two Poisson laws differ too little for it)
+ORDER_MIX = EnvironmentModel((Deterministic(2), Poisson(3.0)), (0.5, 0.5))
+
+
+def test_cluster_size_mixture_vs_assembled_pmf(rng):
+    # the walk puts the newest law at the root, as the composed pmfs do.  The
+    # draw count was fixed before the run: against the root-first order,
+    # computed from this stream's laws, 20 000 draws give a chi-square
+    # non-centrality of about 160 on 25 cells, where MIXTURE gives about 5
+    stream = _check_size_draws_against_assembled_pmf(ORDER_MIX, rng)
+    assert len(set(stream._indices)) == 2
 
 
 def test_cluster_vector_binary(rng):
@@ -461,85 +482,17 @@ def test_pp_angular_atoms(rng):
     assert abs(frac - 0.75) < 3 * math.sqrt(0.75 * 0.25 / signs.size)
 
 
-# ------------------------------------------------------------- shared pmf cache
+def test_pp_draws_never_compose_pmfs(monkeypatch):
+    # every cluster size comes from the population walk, not a composed pmf
+    def refuse(*args):
+        raise AssertionError("a point-process draw composed a generation pmf")
 
-
-def _pp_draws(disp, env, cfg, seed, n, cache=None):
-    rng = np.random.default_rng(seed)
-    draws = [sample_limit_point_process(disp, env, cfg, rng, cache) for _ in range(n)]
-    return draws, rng.random()  # the next value shows the rng was read at the same points
-
-
-def _assert_same_draws(a, b):
-    (draws_a, next_a), (draws_b, next_b) = a, b
-    assert next_a == next_b and len(draws_a) == len(draws_b)
-    for (m0, s0), (m1, s1) in zip(draws_a, draws_b):
-        assert s0 == s1
-        assert m0.locations.tobytes() == m1.locations.tobytes()
-        assert m0.multiplicities.tobytes() == m1.multiplicities.tobytes()
-
-
-@pytest.mark.parametrize("env", [MIXTURE, POISSON2], ids=["mixture", "single"])
-def test_pp_shared_cache_bit_identical(env):
-    cfg = LimitConfig(u_min=0.2)
+    monkeypatch.setattr(limit_laws, "compose_generation", refuse)
+    rng = np.random.default_rng(11)
     disp = DisplacementModel.iid(2.0, 1.0)
-    cache = GenSizeCache(env, cfg.degree_cap)
-    _assert_same_draws(_pp_draws(disp, env, cfg, 7, 40), _pp_draws(disp, env, cfg, 7, 40, cache))
-    assert len(cache) > 0
-
-
-def test_pp_shared_cache_composes_each_depth_once(monkeypatch):
-    cfg = LimitConfig(u_min=0.2, degree_cap=512)
-    disp = DisplacementModel.iid(2.0, 1.0)
-    calls = []
-    compose = limit_laws.compose_generation
-
-    def counted(law, base, degree_cap):
-        calls.append(law)
-        return compose(law, base, degree_cap)
-
-    monkeypatch.setattr(limit_laws, "compose_generation", counted)
-    cache = GenSizeCache(POISSON2, cfg.degree_cap)
-    _pp_draws(disp, POISSON2, cfg, 3, 60, cache)
-    depth = len(cache)
-    # one law: the prefix of depth d is d zeros, composed once over all draws
-    assert len(calls) == depth > 1
-    assert sorted(cache._pmfs) == [(0,) * d for d in range(1, depth + 1)]
-    calls.clear()
-    _pp_draws(disp, POISSON2, cfg, 3, 60)
-    assert len(calls) > depth  # unshared, every draw recomposes its depths
-
-
-def test_pp_zero_cache_budget_stores_nothing(monkeypatch):
-    cfg = LimitConfig(u_min=0.2)
-    disp = DisplacementModel.iid(2.0, 1.0)
-    plain = _pp_draws(disp, MIXTURE, cfg, 11, 20)
-    monkeypatch.setattr(limit_laws, "_CACHE_BYTES", 0)
-    cache = GenSizeCache(MIXTURE, cfg.degree_cap)
-    _assert_same_draws(plain, _pp_draws(disp, MIXTURE, cfg, 11, 20, cache))
-    assert len(cache) == 0 and cache.nbytes == 0
-
-
-def test_cached_pmfs_are_read_only(rng):
-    cache = GenSizeCache(MIXTURE, CFG.degree_cap)
-    stream = EnvStream(MIXTURE, rng, CFG.degree_cap, cache)
-    pmf = stream.gen_size_pmf(4)
-    assert len(cache) == 4 and cache.nbytes > 0
-    assert not pmf.probs.flags.writeable
-    with pytest.raises(ValueError):
-        pmf.probs[0] = 1.0
-
-
-def test_cache_bound_to_model_and_degree_cap(rng):
-    cache = GenSizeCache(MIXTURE, 4096)
-    EnvStream(EnvironmentModel((Poisson(2.0), Poisson(3.0)), (0.5, 0.5)), rng, 4096, cache)
-    with pytest.raises(ValueError):
-        EnvStream(POISSON2, rng, 4096, cache)
-    with pytest.raises(ValueError):
-        EnvStream(MIXTURE, rng, 1024, cache)
-    with pytest.raises(ValueError):
-        disp = DisplacementModel.iid(2.0, 1.0)
-        sample_limit_point_process(disp, MIXTURE, LimitConfig(degree_cap=1024), rng, cache)
+    for _ in range(20):
+        m, _ = sample_limit_point_process(disp, MIXTURE, LimitConfig(u_min=0.2), rng)
+        assert np.all(m.multiplicities >= 1)
 
 
 def test_near_critical_draws_finish(rng):
@@ -548,8 +501,7 @@ def test_near_critical_draws_finish(rng):
     env = EnvironmentModel.single(Poisson(1.3))
     disp = DisplacementModel(alpha=2.0, p=1.0, mode="iid")
     cfg = LimitConfig(u_min=0.2)
-    cache = GenSizeCache(env, cfg.degree_cap)
     t0 = time.perf_counter()
     for _ in range(5):
-        sample_limit_point_process(disp, env, cfg, rng, cache)
+        sample_limit_point_process(disp, env, cfg, rng)
     assert time.perf_counter() - t0 < 5.0

@@ -66,10 +66,10 @@ def test_martingale_survival_restart_gives_up(small_cap, rng):
         sample_martingale_limit(SUBCRITICAL, 30, True, rng)
 
 
-def test_beyond_cap_cluster_draw_gives_up(small_cap, monkeypatch, rng):
-    # binary genealogy with degree cap 4: Z_3 = 8 always falls in the beyond-cap
-    # bucket, and a population walk that dies out never lands past the cap
-    cfg = LimitConfig(degree_cap=4)
+def test_cluster_size_draw_gives_up(small_cap, monkeypatch, rng):
+    # a conditioned size draw repeats the population walk until Z_i >= 1,
+    # and a walk that always dies out never gets there
+    cfg = LimitConfig()
     sampler = ClusterSampler(EnvStream(BINARY, rng, cfg.degree_cap), cfg)
     walks = []
 
@@ -78,7 +78,7 @@ def test_beyond_cap_cluster_draw_gives_up(small_cap, monkeypatch, rng):
         return 0
 
     monkeypatch.setattr(EnvStream, "simulate_population", extinct_walk)
-    with pytest.raises(RejectionCapExceeded, match=f"beyond-cap cluster draw.*{CAP} attempts"):
+    with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
         sampler._draw_size(3, rng, conditioned=True)
     assert walks == [3] * CAP
 
