@@ -265,6 +265,21 @@ def cmd_diagnostics(cfg: ExperimentConfig, reps: Optional[int], threads: int) ->
     return 0
 
 
+def _thread_count(raw: str) -> int:
+    """``--threads`` or ``$BRWRE_THREADS`` as a worker count >= 1.
+
+    Raises ConfigError, which argparse lets through, so that a bad value
+    exits 2 with the JSON record instead of a usage message.
+    """
+    try:
+        threads = int(raw)
+        if threads >= 1:
+            return threads
+    except ValueError:
+        pass
+    raise ConfigError(f"--threads and $BRWRE_THREADS must be an integer >= 1, got {raw!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brwre",
@@ -279,16 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=None, help="override replication counts")
         p.add_argument(
             "--threads",
-            type=int,
-            default=int(os.environ.get("BRWRE_THREADS", "1")),
+            type=_thread_count,
+            # a string default goes through ``type`` when the flag is absent
+            default=os.environ.get("BRWRE_THREADS", "1"),
             help="worker processes for replication batches (default $BRWRE_THREADS or 1)",
         )
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.reps is not None and args.reps < 1:
             raise ConfigError(f"--reps must be >= 1, got {args.reps}")
         cfg = load_config(args.config, seed=args.seed, output_dir=args.out)

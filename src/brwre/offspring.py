@@ -4,7 +4,14 @@ Every family exposes the same small surface: ``mean``, ``pmf``, ``pgf`` (and
 ``pgf_many``, its vectorised complex form), vectorised child-count sampling,
 and a closed-form draw for the total progeny of a whole generation.  Every
 categorical draw of the package is one right-sided search of a cut-point
-table (:func:`cut_points`) that the owner of the law builds once.  Quenched
+table (:func:`cut_points`) that the owner of the law builds once.  Child
+counts of every random family (Poisson, Geometric, Binomial, Finite) take
+one uniform each through a :class:`CountTable`: the law's cut points plus a
+guide over the top 16 bits of the uniform (Chen & Asau 1974; Devroye 1986,
+III.2), so only the uniforms of a bucket that straddles a cut are searched.
+An infinite support is tabulated until the float cumulative sum stops
+growing, and the rounding gap at the top falls to the last category; a table
+past ``_TABLE_MAX`` entries is refused when the law is built.  Quenched
 quantities of the generation size Z_i under a reversed environment segment
 come from composing the per-generation pgfs: scalar composition yields
 extinction probabilities; composition at damped roots of unity, inverted by
@@ -36,6 +43,11 @@ _COMPLEX_STEP = 1e-20
 # zeros stayed under 0.17 eps against exact convolution over the test laws;
 # keeping it would bias the mass upwards once negative round-off is cut.
 _ROUNDOFF_FLOOR = np.finfo(float).eps / 4
+# Guide buckets of a child-count table: one per value of the uniform's top 16 bits.
+_GUIDE_SIZE = 2 ** 16
+# Most entries a child-count table may have; a law that needs more is refused.
+# Every law of mean <= 4096 fits (Geometric at mean 4096 needs about 150 000).
+_TABLE_MAX = 2 ** 18
 
 
 def _check_prob(s: float) -> float:
@@ -63,6 +75,58 @@ def cut_points(weights) -> Tuple[np.ndarray, float]:
     table = cum[: np.flatnonzero(np.asarray(weights) > 0.0)[-1]]
     table.flags.writeable = False
     return table, float(cum[-1])
+
+
+class CountTable:
+    """The one-uniform child-count draw of a law on {0, 1, ..., K}.
+
+    ``cuts`` is the law's :func:`cut_points` table, and the draw is
+    ``searchsorted(cuts, u, side="right")`` for one uniform ``u`` per
+    parent.  ``guide[b]`` is that category for every uniform of bucket
+    ``b = floor(u * 2^16)`` when no cut lies strictly inside the bucket, and
+    -1 when one does; only the uniforms of such straddling buckets are
+    searched.  Both arrays are read-only.
+    """
+
+    def __init__(self, weights):
+        if len(weights) > _TABLE_MAX:
+            raise ValueError(f"child-count table needs {len(weights)} > {_TABLE_MAX} entries")
+        self.cuts = cut_points(weights)[0]
+        # a cut c counts from bucket ceil(c 2^16) on, and lies strictly
+        # inside bucket floor(c 2^16) unless c 2^16 is an integer
+        scaled = self.cuts * _GUIDE_SIZE  # exact: a power of two
+        counted_from = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_GUIDE_SIZE)
+        self.guide = np.cumsum(counted_from[:_GUIDE_SIZE], dtype=np.int32)
+        inside = scaled[(scaled < _GUIDE_SIZE) & (scaled != np.floor(scaled))]
+        self.guide[inside.astype(np.intp)] = -1
+        self.guide.flags.writeable = False
+
+    def draw(self, rng, size: int) -> np.ndarray:
+        u = rng.random(size)
+        counts = self.guide[(u * _GUIDE_SIZE).astype(np.intp)].astype(np.int64)
+        straddled = np.flatnonzero(counts < 0)
+        counts[straddled] = np.searchsorted(self.cuts, u[straddled], side="right")
+        return counts
+
+
+def _pmf_weights(law) -> list:
+    """``law.pmf(0), law.pmf(1), ...`` for a :class:`CountTable`.
+
+    The list ends where the support ends, or once the float cumulative sum
+    reaches 1 or stops growing.  It cannot stall before the mode: there term
+    j exceeds every earlier term, so it is at least 1/j of the sum before it.
+    Raises ValueError when it would pass ``_TABLE_MAX`` entries.
+    """
+    weights, cum = [], 0.0
+    for j in range(_TABLE_MAX):
+        p = law.pmf(j)
+        if cum > 0.0 and cum + p == cum:
+            return weights
+        weights.append(p)
+        cum += p
+        if cum >= 1.0 or j == law.support_max:
+            return weights
+    raise ValueError(f"{law} needs a child-count table of more than {_TABLE_MAX} entries")
 
 
 @dataclass(frozen=True)
@@ -114,6 +178,7 @@ class Poisson:
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValueError("poisson progeny requires lam > 0")
+        object.__setattr__(self, "_table", CountTable(_pmf_weights(self)))
 
     def mean(self) -> float:
         return self.lam
@@ -134,7 +199,7 @@ class Poisson:
         return None
 
     def sample_many(self, rng, size: int) -> np.ndarray:
-        return rng.poisson(self.lam, size).astype(np.int64, copy=False)
+        return self._table.draw(rng, size)
 
     def sample_total(self, rng, count: int) -> int:
         return int(rng.poisson(self.lam * count))
@@ -164,6 +229,7 @@ class Geometric:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise ValueError("geometric progeny requires 0 < q < 1")
+        object.__setattr__(self, "_table", CountTable(_pmf_weights(self)))
 
     def mean(self) -> float:
         return self.q / (1.0 - self.q)
@@ -184,8 +250,7 @@ class Geometric:
         return None
 
     def sample_many(self, rng, size: int) -> np.ndarray:
-        # numpy's geometric counts trials to first success; shift to failures.
-        return rng.geometric(1.0 - self.q, size).astype(np.int64, copy=False) - 1
+        return self._table.draw(rng, size)
 
     def sample_total(self, rng, count: int) -> int:
         # Sum of `count` geometrics = negative binomial (failures before
@@ -211,6 +276,7 @@ class Binomial:
             raise ValueError("binomial progeny requires an integer m >= 1")
         if not 0.0 < self.q < 1.0:
             raise ValueError("binomial progeny requires 0 < q < 1")
+        object.__setattr__(self, "_table", CountTable(_pmf_weights(self)))
 
     def mean(self) -> float:
         return self.m * self.q
@@ -232,7 +298,7 @@ class Binomial:
         return self.m
 
     def sample_many(self, rng, size: int) -> np.ndarray:
-        return rng.binomial(self.m, self.q, size).astype(np.int64, copy=False)
+        return self._table.draw(rng, size)
 
     def sample_total(self, rng, count: int) -> int:
         return int(rng.binomial(self.m * count, self.q))
@@ -259,7 +325,7 @@ class Finite:
         if not float(np.arange(vec.size) @ vec) > 0.0:
             raise ValueError("finite progeny pmf must have positive mean")
         object.__setattr__(self, "probs", tuple(float(p) for p in vec))
-        object.__setattr__(self, "_cuts", cut_points(vec)[0])
+        object.__setattr__(self, "_table", CountTable(vec))
 
     def _vec(self) -> np.ndarray:
         return np.asarray(self.probs)
@@ -285,7 +351,7 @@ class Finite:
         return len(self.probs) - 1
 
     def sample_many(self, rng, size: int) -> np.ndarray:
-        return np.searchsorted(self._cuts, rng.random(size), side="right").astype(np.int64)
+        return self._table.draw(rng, size)
 
     def sample_total(self, rng, count: int) -> int:
         hits = rng.multinomial(count, self._vec())

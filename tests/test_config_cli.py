@@ -186,6 +186,15 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             capsys.readouterr()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
             assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    # a law whose child-count table would pass offspring._TABLE_MAX entries
+    doc = config_to_dict(small_config())
+    doc["environment"] = {"support": [{"family": "poisson", "lam": 1e6}], "weights": [1.0]}
+    with pytest.raises(ConfigError, match="child-count table"):
+        config_from_dict(doc)
+    path.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
     path.write_text(yaml.safe_dump(config_to_dict(small_config())))
     for command in ("simulate", "limit"):
         for reps in ("-3", "0"):
@@ -262,6 +271,19 @@ def test_cli_simulate_rerun_byte_identical(tmp_path):
     assert main(["simulate", "--config", path]) == 0
     assert (tmp_path / "out" / "summary_n4.csv").read_bytes() == first
     assert (tmp_path / "out" / "atoms_n4.csv").read_bytes() == atoms_first
+
+
+def test_cli_simulate_rerun_elsewhere_equal_past_meta_line(tmp_path):
+    # the config hash covers output_dir, so only the meta line follows --out
+    cfg = small_config(output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, cfg)
+    for out in ("a", "b"):
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / out)]) == 0
+    for name in ("summary_n4.csv", "atoms_n4.csv"):
+        first = (tmp_path / "a" / name).read_bytes().split(b"\n", 1)
+        second = (tmp_path / "b" / name).read_bytes().split(b"\n", 1)
+        assert first[0] != second[0]
+        assert first[1] == second[1]
 
 
 def oracle_csv(header, rows, meta) -> bytes:
@@ -466,7 +488,7 @@ def test_cli_compare_pass_and_fail(tmp_path):
     assert main(["compare", "--config", write_config(tmp_path, strict)]) == 1
 
 
-def test_threads_default_from_environment(monkeypatch):
+def test_threads_default_from_environment(monkeypatch, tmp_path, capsys):
     from brwre.cli import build_parser
 
     monkeypatch.setenv("BRWRE_THREADS", "7")
@@ -475,6 +497,17 @@ def test_threads_default_from_environment(monkeypatch):
     monkeypatch.delenv("BRWRE_THREADS")
     args = build_parser().parse_args(["simulate", "--config", "x.yaml"])
     assert args.threads == 1
+    # a worker count that is not an integer >= 1 is a configuration error,
+    # from the environment as from the flag; none of these starts a worker
+    path = write_config(tmp_path, small_config(output_dir=str(tmp_path / "out")))
+    for env, flag in (("two", []), ("0", []), ("1", ["--threads", "-3"]), ("1", ["--threads", "0"])):
+        monkeypatch.setenv("BRWRE_THREADS", env)
+        for command in ("check", "simulate"):
+            capsys.readouterr()
+            assert main([command, "--config", path] + flag) == 2
+            record = json.loads(capsys.readouterr().out)
+            assert record["error"] == "ConfigError" and "threads" in record["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_diagnostics(tmp_path):

@@ -3,11 +3,12 @@ also for the largest uniform below 1, where float rounding leaves a gap
 between the last cumulative weight and the uniform."""
 
 import numpy as np
+import pytest
 
 from brwre.displacement import DisplacementModel, brood_flat
 from brwre.environment import EnvironmentModel, sample_env
 from brwre.limit_laws import ClusterSampler, EnvStream, LimitConfig, cluster_norm_series
-from brwre.offspring import Deterministic, Finite, Poisson
+from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
 
 
 class TopUniform:
@@ -22,6 +23,19 @@ class TopUniform:
 TOP = TopUniform()
 # weights that pass validation but sum to 1 - 1e-13, below the top uniform
 SHORT = (0.5, 0.5 - 1e-13)
+# every family whose child counts come from a guide table
+TABLE_LAWS = [Poisson(2.0), Geometric(0.6), Binomial(3, 0.7), Finite((0.2, 0.3, 0.5)), Finite(SHORT)]
+
+
+class FixedUniforms:
+    """A stand-in rng that hands out the given uniforms, in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
 
 
 def test_environment_draws_stay_in_support():
@@ -35,6 +49,33 @@ def test_environment_draws_stay_in_support():
 def test_finite_child_counts_stay_in_support():
     assert Finite(SHORT).sample_many(TOP, 5).tolist() == [1] * 5
     assert Finite(SHORT + (0.0,)).sample_many(TOP, 5).tolist() == [1] * 5
+
+
+# its second cut exceeds 1, which no uniform reaches
+@pytest.mark.parametrize("law", TABLE_LAWS + [Finite((0.5, 0.5 + 1e-13, 1e-14))], ids=repr)
+def test_child_count_guide_equals_cut_point_search(law):
+    cuts = law._table.cuts
+    edges = np.arange(2 ** 16 + 1) / 2 ** 16
+    u = np.concatenate([
+        np.random.default_rng(7).random(200_000),
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0),
+        cuts,
+        np.nextafter(cuts, 0.0),
+        np.nextafter(cuts, 1.0),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    draws = law.sample_many(FixedUniforms(u), u.size)
+    assert draws.dtype == np.int64
+    assert np.array_equal(draws, np.searchsorted(cuts, u, side="right"))
+
+
+@pytest.mark.parametrize("law", TABLE_LAWS, ids=repr)
+def test_child_counts_at_top_uniform_take_last_table_category(law):
+    last = law._table.cuts.size
+    assert law.sample_many(TOP, 5).tolist() == [last] * 5
+    assert law.pmf(last) > 0.0
 
 
 def test_angular_atom_draws_stay_in_support():
@@ -59,7 +100,7 @@ def test_cluster_sampler_draws_stay_in_support():
     v, sizes = sampler.sample_brood_vector(TOP)
     last = cluster_norm_series("_inverse_mean_next", stream, cfg).terms_used - 1
     assert v == 2 and sizes.tolist() == [2 ** last] * 2
-    # within the degree cap the size comes from the pmf's own table
+    # the population walk gives Z_i = 2^i, conditioned or not
     for i in (1, 3, 6):
         for conditioned in (False, True):
             assert sampler._draw_size(i, TOP, conditioned) == 2 ** i

@@ -84,7 +84,7 @@ def test_pmf_against_scipy(law, dist):
         assert law.pmf(k) == pytest.approx(dist.pmf(k), abs=1e-12)
 
 
-@pytest.mark.parametrize("law", LAW_POOL)
+@pytest.mark.parametrize("law", LAW_POOL + [Poisson(30.0), Geometric(0.95), Binomial(60, 0.5)])
 def test_sampling_matches_pmf(law, rng):
     n = 100_000
     draws = law.sample_many(rng, n)
