@@ -30,6 +30,7 @@ from .errors import (
     BrwreError,
     ConfigError,
     NonGeometricGrowth,
+    NoSurvivingReplication,
     PopulationCapExceeded,
     RejectionCapExceeded,
     SupportBelowRetention,

@@ -167,8 +167,15 @@ def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
             best_gen = np.where(bigger, np.int16(g + 1), np.repeat(best_gen, counts))
 
     k = min(config.top_k, pos.size)
-    top = np.sort(np.partition(pos, pos.size - k)[pos.size - k :])[::-1].copy()
-    bottom = np.sort(np.partition(pos, k - 1)[:k])
+    # one partitioned copy: the k largest to the right, then, in place, the k
+    # smallest to the left of them (a population under 2k is sorted outright)
+    if pos.size >= 2 * k:
+        parted = np.partition(pos, pos.size - k)
+        parted[: pos.size - k].partition(k - 1)
+    else:
+        parted = np.sort(pos)
+    top = np.sort(parted[pos.size - k :])[::-1].copy()
+    bottom = np.sort(parted[:k])
     keep = np.abs(pos) > config.retain_delta * b
     atoms = PointMeasure.from_locations(pos[keep] / b)
     diags = Diagnostics(

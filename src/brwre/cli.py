@@ -4,6 +4,7 @@ Every output file starts with a comment line carrying the config hash and
 seed.  CSV byte format: that meta line ends in LF, the header and every row
 end in CRLF; integer and boolean fields are written with ``%d``, floats with
 ``%.17g`` (17 significant digits, so doubles round-trip) and NaN as ``nan``.
+Every CSV goes through the column writer :func:`brwre.csv_writer.write_csv`.
 Exit codes: 0 success (and comparison PASS), 1 comparison FAIL, 2 bad
 configuration, 3 runtime failure (reported as a JSON record on stdout).
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -22,42 +22,19 @@ import numpy as np
 
 from . import brw, limit_laws, stats
 from .config import ExperimentConfig, config_hash, load_config
-from .errors import BrwreError, ConfigError
+from .csv_writer import write_csv
+from .errors import BrwreError, ConfigError, NoSurvivingReplication
 from .limit_laws import EnvStream, QSample
-
-# Rows per formatted block: one large replication must not build a giant string.
-_BLOCK_ROWS = 8192
-
-
-def _write_csv(path: str, header: List[str], row_fmt: str, blocks, meta: str) -> None:
-    """Write ``blocks`` of ``(n_rows, flat_values)``, formatting each row with ``row_fmt``."""
-    line = row_fmt + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(meta + "\n" + ",".join(header) + "\r\n")
-        for n_rows, flat in blocks:
-            fh.write((line * n_rows) % tuple(flat))
-
-
-def _row_blocks(rows):
-    """Writer blocks of at most ``_BLOCK_ROWS`` rows, each row a list of values."""
-    rows = iter(rows)
-    while chunk := list(itertools.islice(rows, _BLOCK_ROWS)):
-        yield len(chunk), [v for row in chunk for v in row]
-
-
-def _atom_blocks(measures):
-    """Writer blocks of ``(index, location, multiplicity)`` rows, indexing ``measures``."""
-    for i, m in enumerate(measures):
-        for lo in range(0, m.n_atoms, _BLOCK_ROWS):
-            flat = [i] * (3 * min(_BLOCK_ROWS, m.n_atoms - lo))
-            flat[1::3] = m.locations[lo : lo + _BLOCK_ROWS].tolist()
-            flat[2::3] = m.multiplicities[lo : lo + _BLOCK_ROWS].tolist()
-            yield len(flat) // 3, flat
 
 
 def _write_atoms(path: str, index_name: str, measures, meta: str) -> None:
-    header = [index_name, "location", "multiplicity"]
-    _write_csv(path, header, "%d,%.17g,%d", _atom_blocks(measures), meta)
+    """One ``(index, location, multiplicity)`` row per atom, indexing ``measures``."""
+    columns = [
+        np.repeat(np.arange(len(measures)), [m.n_atoms for m in measures]),
+        np.concatenate([m.locations for m in measures]),
+        np.concatenate([m.multiplicities for m in measures]),
+    ]
+    write_csv(path, [index_name, "location", "multiplicity"], columns, meta)
 
 
 def _meta_line(cfg: ExperimentConfig) -> str:
@@ -101,16 +78,23 @@ def _write_simulation(cfg: ExperimentConfig, n: int, outcomes) -> None:
         + [f"min{i + 1}" for i in range(k)]
         + ["W_n", "two_big_jump_flag", "restarts"]
     )
-    row_fmt = ",".join(["%d"] * 3 + ["%.17g"] * (2 * k + 3) + ["%d"] * 2)
-    pad = [float("nan")] * k
-    rows = (
-        [rep, n, int(o.z[-1]), o.env_seq.pi[-1], o.b_n]
-        + (o.top[:k].tolist() + pad)[:k]
-        + (o.bottom[:k].tolist() + pad)[:k]
-        + [o.w_n, o.diagnostics.paths_with_two_big_jumps > 0, o.restarts]
-        for rep, o in enumerate(outcomes)
-    )
-    _write_csv(os.path.join(out, f"summary_n{n}.csv"), header, row_fmt, _row_blocks(rows), meta)
+    extremes = np.full((2 * k, len(outcomes)), np.nan)  # NaN past a small population
+    for rep, o in enumerate(outcomes):
+        top, bottom = o.top[:k], o.bottom[:k]
+        extremes[: top.size, rep] = top
+        extremes[k : k + bottom.size, rep] = bottom
+    columns = [
+        np.arange(len(outcomes)),
+        np.full(len(outcomes), n),
+        np.array([o.z[-1] for o in outcomes], dtype=np.int64),
+        np.array([o.env_seq.pi[-1] for o in outcomes], dtype=float),
+        np.array([o.b_n for o in outcomes], dtype=float),
+        *extremes,
+        np.array([o.w_n for o in outcomes], dtype=float),
+        np.array([o.diagnostics.paths_with_two_big_jumps > 0 for o in outcomes]),
+        np.array([o.restarts for o in outcomes], dtype=np.int64),
+    ]
+    write_csv(os.path.join(out, f"summary_n{n}.csv"), header, columns, meta)
     _write_atoms(os.path.join(out, f"atoms_n{n}.csv"), "rep", [o.atoms for o in outcomes], meta)
 
 
@@ -154,15 +138,15 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     size = reps or cfg.limit.n_limit_samples
 
     q_samples = _draw_q_samples(cfg, size)
-    q_rows = ([i, s.q, s.w, s.c_value] for i, s in enumerate(q_samples))
-    q_header = ["sample", "q", "w", "c_value"]
-    q_path = os.path.join(out, "q_samples.csv")
-    _write_csv(q_path, q_header, "%d,%.17g,%.17g,%.17g", _row_blocks(q_rows), meta)
+    q_columns = [np.arange(size)] + [
+        np.array([getattr(s, f) for s in q_samples], dtype=float) for f in ("q", "w", "c_value")
+    ]
+    write_csv(os.path.join(out, "q_samples.csv"), ["sample", "q", "w", "c_value"], q_columns, meta)
 
-    alpha = cfg.displacement.alpha
-    cdf_rows = ([x, limit_laws.limit_max_cdf(q_samples, x, alpha)] for x in cfg.comparison.grid)
-    cdf_path = os.path.join(out, "limit_cdf.csv")
-    _write_csv(cdf_path, ["x", "cdf"], "%.17g,%.17g", _row_blocks(cdf_rows), meta)
+    grid = cfg.comparison.grid
+    cdf = [limit_laws.limit_max_cdf(q_samples, x, cfg.displacement.alpha) for x in grid]
+    cdf_columns = [np.array(grid, dtype=float), np.array(cdf, dtype=float)]
+    write_csv(os.path.join(out, "limit_cdf.csv"), ["x", "cdf"], cdf_columns, meta)
 
     draws, _ = _draw_pp(cfg, size)
     _write_atoms(os.path.join(out, "limit_pp.csv"), "draw", draws, meta)
@@ -197,6 +181,10 @@ def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int
         outcomes = brw.run_replications(cfg.sim_config(n), reps, threads)
         _write_simulation(cfg, n, outcomes)
         alive = [o for o in outcomes if not o.extinct]
+        if not alive:
+            raise NoSurvivingReplication(
+                f"compare at n={n}: none of the {len(outcomes)} replications survived"
+            )
         ecdf = stats.Ecdf.from_samples([o.top[0] / o.b_n for o in alive])
         rows = [
             {"x": x, "ecdf": emp, "limit_cdf": limit_cdf[x], "abs_diff": abs(emp - limit_cdf[x])}

@@ -28,6 +28,10 @@ class ArgumentOrder(BrwreError):
     """Arguments violate a required ordering (e.g. x < y)."""
 
 
+class NoSurvivingReplication(BrwreError):
+    """No replication survived to the generation a comparison needs."""
+
+
 class RejectionCapExceeded(BrwreError):
     """A rejection sampler exhausted its attempt budget."""
 

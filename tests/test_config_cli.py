@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from brwre import brw, cli
+from brwre import brw, cli, csv_writer
 from brwre.cli import main
 from brwre.config import (
     ComparisonSettings,
@@ -323,7 +324,9 @@ def test_row_writer_matches_csv_oracle(tmp_path):
     rows = [[i, x, i % 2 == 1, np.bool_(i % 3 == 0), np.int64(7 * i)] for i, x in enumerate(values)]
     header = ["i", "x", "flag", "np_flag", "count"]
     path = tmp_path / "rows.csv"
-    cli._write_csv(str(path), header, "%d,%.17g,%d,%d,%d", cli._row_blocks(rows), meta)
+    columns = [np.array(column) for column in zip(*rows)]
+    assert [c.dtype.kind for c in columns] == ["i", "f", "b", "b", "i"]
+    csv_writer.write_csv(str(path), header, columns, meta)
     expected = oracle_csv(header, rows, meta)
     assert path.read_bytes() == expected
     assert expected.startswith(meta.encode() + b"\ni,x,flag,np_flag,count\r\n")
@@ -331,7 +334,7 @@ def test_row_writer_matches_csv_oracle(tmp_path):
 
     # an empty measure (an extinct replication) writes no rows; a measure
     # longer than one block is split across blocks
-    long_locs = np.arange(1, 2 * cli._BLOCK_ROWS + 6) / 3.0
+    long_locs = np.arange(1, 2 * csv_writer.BLOCK_ROWS + 6) / 3.0
     measures = [
         PointMeasure(
             np.array([-np.inf, -1e300, -5e-324, 5e-324, 0.1, 1e300, np.inf]),
@@ -347,6 +350,58 @@ def test_row_writer_matches_csv_oracle(tmp_path):
     assert path.read_bytes() == oracle_csv(header, oracle_atom_rows(measures), meta)
     cli._write_atoms(str(path), "rep", [PointMeasure.empty()], meta)
     assert path.read_bytes() == oracle_csv(header, [], meta)
+
+
+def _formatted(column) -> list:
+    """Fields the column writer formats for one column, one per row."""
+    return csv_writer.format_rows([np.asarray(column)]).split(b"\r\n")[:-1]
+
+
+def test_column_formatter_matches_percent_format():
+    rng = np.random.default_rng(20240810)
+    bit_patterns = rng.integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    # random mantissas on every binade of the range that %.17g writes in fixed notation
+    binades = rng.integers(1023 - 14, 1023 + 57, 100_000, dtype=np.uint64) << np.uint64(52)
+    mantissas = rng.integers(0, 2**52, 100_000, dtype=np.uint64)
+    signs = rng.integers(0, 2, 100_000, dtype=np.uint64) << np.uint64(63)
+    fixed_range = (signs | binades | mantissas).view(np.float64)
+    decades = 10.0 ** np.arange(-6, 19)
+    near_decades = np.concatenate([decades, np.nextafter(decades, 0), np.nextafter(decades, np.inf)])
+    # (2m+1)/4 in [1e15, 2.25e15) has 16 integer digits and ends in .25 or
+    # .75: an exact tie at the 17th digit, which rounds half to even
+    ties = (2 * rng.integers(2 * 10**15, 45 * 10**14, 20_000) + 1) / 4.0
+    edges = np.array([1e-4, 1e17])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, np.finfo(float).max, 1.0, 0.5]
+    for values in (bit_patterns, fixed_range, near_decades, -near_decades, ties, edges, -edges, specials):
+        values = np.asarray(values, dtype=float)
+        assert _formatted(values) == [b"%.17g" % v for v in values.tolist()]
+
+    ints = np.array([0, 1, -1, 9, 10, -10, 99, 2**32 - 1, 2**32, -(2**32), 10**18, -(2**63), 2**63 - 1])
+    assert _formatted(ints) == [b"%d" % v for v in ints.tolist()]
+    for width in range(1, 19):
+        column = rng.integers(-(10**width), 10**width, 1000)
+        assert _formatted(column) == [b"%d" % v for v in column.tolist()]
+    flags = np.array([True, False, True])
+    assert _formatted(flags) == [b"1", b"0", b"1"]
+
+
+def test_cli_compare_without_survivors_exits_3(tmp_path, capsys):
+    # unconditioned, the one replication of seed 6 dies out, so n=12 has no
+    # normalised maximum to compare
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    mixture = load_config(os.path.join(root, "configs", "mixture_poisson.yaml"))
+    cfg = dataclasses.replace(
+        mixture,
+        simulation=dataclasses.replace(mixture.simulation, condition_on_survival=False),
+        limit=dataclasses.replace(mixture.limit, n_limit_samples=50),
+        output_dir=str(tmp_path / "out"),
+    )
+    code = main(["compare", "--config", write_config(tmp_path, cfg), "--seed", "6", "--reps", "1"])
+    assert code == 3
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["error"] == "NoSurvivingReplication"
+    assert "n=12" in record["message"] and "of the 1 replications" in record["message"]
 
 
 def test_cli_csv_files_match_csv_oracle(tmp_path):

@@ -50,13 +50,17 @@ def derived_configs(directory: str) -> list:
     """Write the scenarios the shipped configs leave out to ``directory``.
 
     Both shipped configs are iid with no finite-support environment and no
-    law of mean <= 1, so the binary config is rewritten (through
-    ``config_to_dict``) with fully dependent displacements, with a
-    two-coordinate angular model, with a {finite, binomial, geometric}
-    environment, and with {Poisson(0.9) w.p. 0.2, Poisson(4) w.p. 0.8} at
-    n = 8, whose series stop on the annealed tail rule.  Returns the YAML paths.
+    law of mean <= 1, and both condition on survival, so the binary config is
+    rewritten (through ``config_to_dict``) with fully dependent
+    displacements, with a two-coordinate angular model, with a {finite,
+    binomial, geometric} environment, and with {Poisson(0.9) w.p. 0.2,
+    Poisson(4) w.p. 0.8} at n = 8, whose series stop on the annealed tail
+    rule; and the mixture config is rewritten without survival conditioning,
+    so that extinct replications write NaN summary fields and no atom rows.
+    Returns the YAML paths.
     """
     base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
+    poisson_mix = load_config(os.path.join(ROOT, "configs", "mixture_poisson.yaml"))
     mixture = EnvironmentModel((Finite((0.2, 0.3, 0.5)), Binomial(3, 0.8), Geometric(0.6)), (0.3, 0.4, 0.3))
     annealed = EnvironmentModel((Poisson(0.9), Poisson(4.0)), (0.2, 0.8))
     scenarios = {
@@ -65,6 +69,9 @@ def derived_configs(directory: str) -> list:
         "binary_finite_mixture": dataclasses.replace(base, environment=mixture),
         "binary_annealed": dataclasses.replace(
             base, environment=annealed, simulation=dataclasses.replace(base.simulation, n=(8,))
+        ),
+        "mixture_unconditioned": dataclasses.replace(
+            poisson_mix, simulation=dataclasses.replace(poisson_mix.simulation, condition_on_survival=False)
         ),
     }
     paths = []
