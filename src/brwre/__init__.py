@@ -59,9 +59,7 @@ from .offspring import (
     Geometric,
     OffspringLaw,
     Poisson,
-    TruncatedPMF,
     extinct_prob_by_gen,
-    generation_size_pmf,
 )
 from .stats import Ecdf, TestFunction, count_distribution_tv, ks_distance, laplace_estimate
 

@@ -45,10 +45,7 @@ class SimConfig:
             raise ValueError("need n >= 1, population_cap >= 1, top_k >= 2")
         if not (self.retain_delta > 0.0 and self.jump_eta > 0.0):
             raise ValueError("retain_delta and jump_eta must be positive")
-        if self.disp.mode == "discrete_angular":
-            k = self.disp.n_coords
-            if any(law.support_max is None or law.support_max > k for law in self.env.support):
-                raise ValueError(f"every progeny law must have support within the {k} angular coordinates")
+        self.disp.check_broods(self.env.support)
 
 
 @dataclass

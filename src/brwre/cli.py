@@ -151,7 +151,7 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     draws, _ = _draw_pp(cfg, size)
     _write_atoms(os.path.join(out, "limit_pp.csv"), "draw", draws, meta)
 
-    stream = EnvStream(cfg.environment, brw.replication_rng(cfg.seed, _Q_STREAM), cfg.limit.degree_cap)
+    stream = EnvStream(cfg.environment, brw.replication_rng(cfg.seed, _Q_STREAM))
     constants = {}
     for kind in limit_laws.SERIES_KINDS:
         sv = limit_laws.cluster_norm_series(kind, stream, cfg.limit)

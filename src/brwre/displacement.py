@@ -144,6 +144,12 @@ class DisplacementModel:
     def n_coords(self) -> int:
         return len(self.atoms[0]) if self.mode == "discrete_angular" else 0
 
+    def check_broods(self, laws) -> None:
+        """Raise ValueError unless every brood of ``laws`` fits the angular coordinates."""
+        k = self.n_coords
+        if self.mode == "discrete_angular" and any(law.support_max is None or law.support_max > k for law in laws):
+            raise ValueError(f"every progeny law must have support within the {k} angular coordinates")
+
     @property
     def angular_total_mass(self) -> float:
         """Total spectral mass; scales the radial point-process intensity."""

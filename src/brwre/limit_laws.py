@@ -1,10 +1,11 @@
 """Samplers and evaluators for the limit objects of the extremal picture.
 
 Everything quenched lives on an :class:`EnvStream`: a lazily realized i.i.d.
-environment with cached mean products, extinction probabilities and truncated
-generation-size pmfs, all indexed so that entry i describes the population
-grown for i generations with the newest drawn law at the root.  The pmfs serve
-:meth:`ClusterSampler.single_descendant_prob`; no sampler reads them.
+environment with cached mean products and extinction probabilities, both
+indexed so that entry i describes the population grown for i generations with
+the newest drawn law at the root.  :meth:`ClusterSampler.single_descendant_prob`
+takes P(Z_i = 1) along the same order by the chain rule
+(:func:`brwre.offspring.compose_generation`).
 
 The normalizing series are summed by one loop with one tail rule read from
 the model (:func:`brwre.environment.series_tail`: certified for every stream,
@@ -27,7 +28,7 @@ from .displacement import DisplacementModel, Pattern, pattern_mass
 from .environment import EnvironmentModel, sample_env, series_tail
 from .errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode, first_accepted
 from .measures import PointMeasure
-from .offspring import TruncatedPMF, compose_generation, cut_points
+from .offspring import compose_generation, cut_points
 
 # Population walks for W stop once Z reaches this: the martingale value is
 # frozen to ~1e-6 relative accuracy and its conditional mean kept exactly.
@@ -43,15 +44,14 @@ class LimitConfig:
     series_tol: float = 1e-9
     max_terms: int = 400
     w_horizon: int = 30
-    degree_cap: int = 4096
     u_min: float = 0.05
     n_limit_samples: int = 10000
 
     def __post_init__(self):
         if not 0.0 < self.series_tol < 1.0:
             raise ValueError("series_tol must lie in (0, 1)")
-        if min(self.w_horizon, self.max_terms, self.degree_cap, self.n_limit_samples) < 1:
-            raise ValueError("w_horizon, max_terms, degree_cap and n_limit_samples must be >= 1")
+        if min(self.w_horizon, self.max_terms, self.n_limit_samples) < 1:
+            raise ValueError("w_horizon, max_terms and n_limit_samples must be >= 1")
         if not self.u_min > 0.0:
             raise ValueError("u_min must be positive")
 
@@ -81,14 +81,12 @@ class QSample:
 class EnvStream:
     """A lazily drawn independent environment with cached quenched data."""
 
-    def __init__(self, model: EnvironmentModel, rng, degree_cap: int):
+    def __init__(self, model: EnvironmentModel, rng):
         self.model = model
-        self.degree_cap = degree_cap
         self._rng = rng
         self._indices: List[int] = []
         self._pi: List[float] = [1.0]
         self._extinct: List[float] = [0.0]
-        self._pmfs: List[TruncatedPMF] = [TruncatedPMF(np.array([0.0, 1.0]), 0.0)]
 
     def _extend(self, i: int) -> None:
         while len(self._indices) <= i:
@@ -111,13 +109,6 @@ class EnvStream:
         """P(Z_i = 0) for the i-generation population, newest law at the root."""
         self._extend(i - 1)
         return self._extinct[i]
-
-    def gen_size_pmf(self, i: int) -> TruncatedPMF:
-        """Truncated pmf of Z_i (degree at most ``degree_cap``), extended by outer composition."""
-        while len(self._pmfs) <= i:
-            law = self.law(len(self._pmfs) - 1)
-            self._pmfs.append(compose_generation(law, self._pmfs[-1], self.degree_cap))
-        return self._pmfs[i]
 
     def simulate_population(self, i: int, rng) -> int:
         """Count-level draw of Z_i under this environment, newest law at the root."""
@@ -258,11 +249,10 @@ class ClusterSampler:
 
     def single_descendant_prob(self) -> float:
         """P(cluster size = 1): the chance one big jump shows up alone."""
-        total = 0.0
+        total, base = 0.0, (0.0, 1.0)  # (P(Z_i = 0), P(Z_i = 1)) from Z_0 = 1
         for i in range(self.size_norm.terms_used):
-            pmf = self.stream.gen_size_pmf(i)
-            if pmf.degree >= 1:
-                total += pmf.probs[1] / self.stream.pi(i)
+            total += base[1] / self.stream.pi(i)
+            base = compose_generation(self.stream.law(i), base)
         return total / self.size_norm.value
 
 
@@ -292,8 +282,7 @@ def _general_q_series(
         raise UnboundedProgenyInGeneralMode(
             "pattern-sum evaluation needs bounded progeny support"
         )
-    if disp.mode == "discrete_angular" and max(vmaxes) > disp.n_coords:
-        raise ValueError("progeny support exceeds the angular coordinate count")
+    disp.check_broods(stream.model.support)
     memo: dict = {}
 
     def term(i: int) -> float:
@@ -330,7 +319,7 @@ def sample_q(
     if method not in ("auto", "shortcut", "general"):
         raise ValueError(f"unknown method {method!r}")
     w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng)
-    stream = EnvStream(env_model, rng, cfg.degree_cap)
+    stream = EnvStream(env_model, rng)
     use_general = method == "general" or (
         method == "auto" and disp.mode == "discrete_angular"
     )
@@ -420,10 +409,12 @@ def sample_limit_point_process(
     every point carries a cluster drawn from the quenched laws of a fresh
     environment, and the whole picture is scaled by
     (series * martingale_limit)^(1/alpha).  Atoms below scale * u_min are not
-    represented, so test functionals must stay above that floor.
+    represented, so test functionals must stay above that floor.  An angular
+    model needs every brood within its coordinates (ValueError otherwise).
     """
+    disp.check_broods(env_model.support)
     w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng)
-    stream = EnvStream(env_model, rng, cfg.degree_cap)
+    stream = EnvStream(env_model, rng)
     sampler = ClusterSampler(stream, cfg)
     inv_alpha = 1.0 / disp.alpha
     if disp.mode == "iid":

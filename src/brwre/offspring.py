@@ -1,8 +1,8 @@
 """Progeny distribution families and probability generating function arithmetic.
 
-Every family exposes the same small surface: ``mean``, ``pmf``, ``pgf`` (and
-``pgf_many``, its vectorised complex form), vectorised child-count sampling,
-and a closed-form draw for the total progeny of a whole generation.  Every
+Every family exposes the same small surface: ``mean``, ``pmf``, ``pgf`` and
+its derivative ``pgf_prime``, vectorised child-count sampling, and a
+closed-form draw for the total progeny of a whole generation.  Every
 categorical draw of the package is one right-sided search of a cut-point
 table (:func:`cut_points`) that the owner of the law builds once.  Child
 counts of every random family (Poisson, Geometric, Binomial, Finite) take
@@ -14,11 +14,8 @@ growing, and the rounding gap at the top falls to the last category; a table
 past ``_TABLE_MAX`` entries is refused when the law is built.  Quenched
 quantities of the generation size Z_i under a reversed environment segment
 come from composing the per-generation pgfs: scalar composition yields
-extinction probabilities; composition at damped roots of unity, inverted by
-one real FFT per generation (Abate & Whitt, "Numerical inversion of
-probability generating functions", Oper. Res. Lett. 1992), yields the pmf up
-to a degree cap, with unassigned tail mass kept in an explicit bucket and a
-bound on the numerical error carried alongside.
+extinction probabilities, and the chain rule through the same composition
+yields P(Z_i = 1) (:func:`compose_generation`).
 """
 
 from __future__ import annotations
@@ -29,20 +26,6 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-# Per-law coefficient truncation for infinite-support families.
-_COEFF_TOL = 1e-16
-# r^N of the damped FFT composition: every coefficient past the N-th aliases
-# back onto the kept ones damped by this factor.
-_ALIAS_DAMPING = 1e-16
-# Kept coefficients are at most 1/4 of the FFT length, so undamping by
-# r^-j amplifies round-off by at most _ALIAS_DAMPING^(-1/4) = 1e4.
-_FFT_OVERSAMPLE = 4
-# Step of the complex-step derivative f'(x) = Im f(x + ih) / h.
-_COMPLEX_STEP = 1e-20
-# Damped coefficients below this are taken as 0.  FFT round-off on exact
-# zeros stayed under 0.17 eps against exact convolution over the test laws;
-# keeping it would bias the mass upwards once negative round-off is cut.
-_ROUNDOFF_FLOOR = np.finfo(float).eps / 4
 # Guide buckets of a child-count table: one per value of the uniform's top 16 bits.
 _GUIDE_SIZE = 2 ** 16
 # Most entries a child-count table may have; a law that needs more is refused.
@@ -54,12 +37,6 @@ def _check_prob(s: float) -> float:
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"pgf argument must lie in [0, 1], got {s}")
     return float(s)
-
-
-def _trimmed(probs: np.ndarray) -> np.ndarray:
-    """``probs`` up to its last nonzero entry (one entry if all are zero)."""
-    nonzero = np.flatnonzero(probs)
-    return probs[: nonzero[-1] + 1] if nonzero.size else probs[:1]
 
 
 def cut_points(weights) -> Tuple[np.ndarray, float]:
@@ -148,8 +125,8 @@ class Deterministic:
     def pgf(self, s: float) -> float:
         return _check_prob(s) ** self.k
 
-    def pgf_many(self, z: np.ndarray) -> np.ndarray:
-        return z ** self.k
+    def pgf_prime(self, s: float) -> float:
+        return self.k * _check_prob(s) ** (self.k - 1)
 
     @property
     def support_max(self):
@@ -160,13 +137,6 @@ class Deterministic:
 
     def sample_total(self, rng, count: int) -> int:
         return self.k * count
-
-    def coefficients(self, cap: int):
-        if self.k > cap:
-            return np.zeros(1), 1.0
-        vec = np.zeros(self.k + 1)
-        vec[self.k] = 1.0
-        return vec, 0.0
 
 
 @dataclass(frozen=True)
@@ -191,8 +161,8 @@ class Poisson:
     def pgf(self, s: float) -> float:
         return math.exp(self.lam * (_check_prob(s) - 1.0))
 
-    def pgf_many(self, z: np.ndarray) -> np.ndarray:
-        return np.exp(self.lam * (z - 1.0))
+    def pgf_prime(self, s: float) -> float:
+        return self.lam * self.pgf(s)
 
     @property
     def support_max(self):
@@ -203,21 +173,6 @@ class Poisson:
 
     def sample_total(self, rng, count: int) -> int:
         return int(rng.poisson(self.lam * count))
-
-    def coefficients(self, cap: int):
-        probs = [math.exp(-self.lam)]
-        cum = probs[0]
-        k = 0
-        while cum < 1.0 - _COEFF_TOL and k < cap:
-            k += 1
-            p = probs[-1] * self.lam / k
-            # the float sum can stall just below 1 - _COEFF_TOL; past the
-            # underflow every further term is 0 as well
-            if p == 0.0:
-                break
-            probs.append(p)
-            cum += p
-        return np.array(probs), max(0.0, 1.0 - cum)
 
 
 @dataclass(frozen=True)
@@ -242,8 +197,8 @@ class Geometric:
     def pgf(self, s: float) -> float:
         return (1.0 - self.q) / (1.0 - self.q * _check_prob(s))
 
-    def pgf_many(self, z: np.ndarray) -> np.ndarray:
-        return (1.0 - self.q) / (1.0 - self.q * z)
+    def pgf_prime(self, s: float) -> float:
+        return (1.0 - self.q) * self.q / (1.0 - self.q * _check_prob(s)) ** 2
 
     @property
     def support_max(self):
@@ -256,12 +211,6 @@ class Geometric:
         # Sum of `count` geometrics = negative binomial (failures before
         # the count-th success at success probability 1 - q).
         return int(rng.negative_binomial(count, 1.0 - self.q))
-
-    def coefficients(self, cap: int):
-        kmax = min(cap, int(math.ceil(math.log(_COEFF_TOL) / math.log(self.q))))
-        ks = np.arange(kmax + 1)
-        probs = (1.0 - self.q) * self.q ** ks
-        return probs, self.q ** (kmax + 1)
 
 
 @dataclass(frozen=True)
@@ -290,8 +239,8 @@ class Binomial:
     def pgf(self, s: float) -> float:
         return (1.0 - self.q + self.q * _check_prob(s)) ** self.m
 
-    def pgf_many(self, z: np.ndarray) -> np.ndarray:
-        return (1.0 - self.q + self.q * z) ** self.m
+    def pgf_prime(self, s: float) -> float:
+        return self.m * self.q * (1.0 - self.q + self.q * _check_prob(s)) ** (self.m - 1)
 
     @property
     def support_max(self):
@@ -302,12 +251,6 @@ class Binomial:
 
     def sample_total(self, rng, count: int) -> int:
         return int(rng.binomial(self.m * count, self.q))
-
-    def coefficients(self, cap: int):
-        if self.m > cap:
-            probs = np.array([self.pmf(j) for j in range(cap + 1)])
-            return _trimmed(probs), max(0.0, 1.0 - probs.sum())
-        return _trimmed(np.array([self.pmf(j) for j in range(self.m + 1)])), 0.0
 
 
 @dataclass(frozen=True)
@@ -343,8 +286,9 @@ class Finite:
         s = _check_prob(s)
         return float(np.polynomial.polynomial.polyval(s, self._vec()))
 
-    def pgf_many(self, z: np.ndarray) -> np.ndarray:
-        return np.polynomial.polynomial.polyval(z, self._vec())
+    def pgf_prime(self, s: float) -> float:
+        s = _check_prob(s)
+        return float(np.polynomial.polynomial.polyval(s, np.polynomial.polynomial.polyder(self._vec())))
 
     @property
     def support_max(self):
@@ -356,12 +300,6 @@ class Finite:
     def sample_total(self, rng, count: int) -> int:
         hits = rng.multinomial(count, self._vec())
         return int(np.arange(hits.size) @ hits)
-
-    def coefficients(self, cap: int):
-        vec = self._vec()
-        if vec.size - 1 > cap:
-            return _trimmed(vec[: cap + 1]).copy(), float(vec[cap + 1 :].sum())
-        return _trimmed(vec).copy(), 0.0
 
 
 OffspringLaw = Union[Deterministic, Poisson, Geometric, Binomial, Finite]
@@ -376,77 +314,18 @@ FAMILIES = {
 }
 
 
-@dataclass
-class TruncatedPMF:
-    """A pmf on {0..D} plus the mass that fell past the degree cap.
+def compose_generation(law: OffspringLaw, base: Tuple[float, float]) -> Tuple[float, float]:
+    """(P(Z' = 0), P(Z' = 1)) of a sum Z' of ``law``-many i.i.d. copies of Z,
+    from ``base`` = (P(Z = 0), P(Z = 1)).
 
-    ``mass_beyond`` is 1 - sum(probs) once the composition spilled past the
-    cap, and 0 while it never did.  ``error_bound`` bounds the numerical
-    error of every entry of ``probs`` against the exact truncated composition
-    (the FFT aliasing and round-off of each compose step, see
-    :func:`compose_generation`).
+    This is the one-step outer composition f_law(G(s)), prepending a fresh
+    root generation to an existing quenched generation-size law, kept to
+    degree 1, where it is exact: G'(0) of the composition is
+    f_law'(G(0)) G'(0) by the chain rule (Athreya & Ney, *Branching
+    Processes*, 1972, ch. I).
     """
-
-    probs: np.ndarray
-    mass_beyond: float
-    error_bound: float = 0.0
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if np.any(self.probs < -1e-12):
-            raise ValueError("pmf entries must be nonnegative")
-        self.probs = np.clip(self.probs, 0.0, None)
-        total = self.probs.sum() + self.mass_beyond
-        if not (1.0 - 1e-9 <= total <= 1.0 + 1e-9):
-            raise ValueError(f"pmf mass {total} not within 1e-9 of 1")
-        if not self.error_bound >= 0.0:
-            raise ValueError("error_bound must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return self.probs.size - 1
-
-    def mean_lower_bound(self) -> float:
-        return float(np.arange(self.probs.size) @ self.probs)
-
-
-def compose_generation(law: OffspringLaw, base: TruncatedPMF, degree_cap: int) -> TruncatedPMF:
-    """PMF of a sum of ``law``-many i.i.d. copies of ``base``.
-
-    This is the one-step outer composition f_law(G(s)): prepending a fresh
-    root generation to an existing quenched generation-size law.  It is kept
-    up to degree D = min(degree_cap, base degree x K), K the law's last
-    nonzero coefficient.  One real FFT of the damped ``base.probs`` gives G at
-    r w^k for the N-th roots of unity w^k, the law's closed-form pgf maps
-    those values, and one inverse FFT and undamping by r^-j give the
-    coefficients.  N is the smallest power of two >= 4 (D + 1) and r^N =
-    1e-16: each coefficient picks up at most r^N / (1 - r^N) from the ones
-    past N that alias onto it, and round-off of about eps log2(N) r^-D, which
-    also covers the damped entries below eps / 4 that are set to 0.  Both go
-    into ``error_bound``, on top of the base's bound times f_law'(G(1)):
-    the coefficients of f_law'(G(s)) are nonnegative and sum to that, so it is
-    the most by which the composition amplifies an error of every base entry.
-    """
-    coeffs, tail = law.coefficients(degree_cap)
-    full_degree = base.degree * (coeffs.size - 1)
-    degree = min(degree_cap, full_degree)
-    # the base must fit in one period too (a law without mass in 1..cap)
-    n = 1 << (max(_FFT_OVERSAMPLE * (degree + 1), base.probs.size) - 1).bit_length()
-    r = _ALIAS_DAMPING ** (1.0 / n)
-    g = np.fft.rfft(base.probs * r ** np.arange(base.probs.size), n)
-    damped = np.fft.irfft(law.pgf_many(g), n)[: degree + 1]
-    damped[damped < _ROUNDOFF_FLOOR] = 0.0
-    probs = _trimmed(damped * r ** -np.arange(degree + 1.0))
-    spilled = base.mass_beyond > 0.0 or tail > 0.0 or full_degree > degree_cap
-    aliasing = r ** n / (1.0 - r ** n)
-    roundoff = np.finfo(float).eps * math.log2(n) * r ** -degree
-    # f_law'(G(1)) by a complex step, exact to round-off for an analytic pgf
-    gain = law.pgf_many(np.array([base.probs.sum() + _COMPLEX_STEP * 1j]))[0].imag / _COMPLEX_STEP
-    return TruncatedPMF(
-        probs,
-        max(0.0, 1.0 - probs.sum()) if spilled else 0.0,
-        gain * base.error_bound + aliasing + roundoff,
-    )
+    p0, p1 = base
+    return law.pgf(p0), law.pgf_prime(p0) * p1
 
 
 def extinct_prob_by_gen(env_rev: Sequence[OffspringLaw]) -> float:
@@ -460,18 +339,3 @@ def extinct_prob_by_gen(env_rev: Sequence[OffspringLaw]) -> float:
     for law in reversed(list(env_rev)):
         e = law.pgf(e)
     return e
-
-
-def generation_size_pmf(env_rev: Sequence[OffspringLaw], degree_cap: int) -> TruncatedPMF:
-    """Truncated pmf of Z_i under a reversed environment segment.
-
-    Iterated composition of the per-generation pgfs; ``mass_beyond`` is 0
-    whenever the support never outgrows the cap, and every entry lies within
-    ``error_bound`` of the exact truncated composition.
-    """
-    if degree_cap < 1:
-        raise ValueError("degree_cap must be >= 1")
-    base = TruncatedPMF(np.array([0.0, 1.0]), 0.0)
-    for law in reversed(list(env_rev)):
-        base = compose_generation(law, base, degree_cap)
-    return base

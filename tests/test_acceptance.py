@@ -202,7 +202,7 @@ def test_criterion_05_joint_laws(binary_signed_n14):
 
 def test_criterion_06_cluster_law_chi_square():
     rng = np.random.default_rng((SEED, 6))
-    sampler = ClusterSampler(EnvStream(BINARY, rng, 4096), LimitConfig())
+    sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
     n = 100_000
     draws = np.array([sampler.sample_size(rng) for _ in range(n)])
     i_vals = np.round(np.log2(draws)).astype(int)

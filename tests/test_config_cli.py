@@ -131,7 +131,6 @@ def test_invalid_configs_rejected(tmp_path, capsys):
         ("simulation", "early_rho", 8.5),
         ("limit", "max_terms", 10.5),
         ("limit", "w_horizon", 3.5),
-        ("limit", "degree_cap", True),
         ("limit", "n_limit_samples", 1.5),
         (None, "seed", 2.5),
     ]:
@@ -142,18 +141,20 @@ def test_invalid_configs_rejected(tmp_path, capsys):
         path.write_text(yaml.safe_dump(doc))
         assert main(["check", "--config", str(path)]) == 2
     doc = config_to_dict(small_config())
-    doc["limit"]["degree_cap"] = 512.0
-    assert config_from_dict(doc).limit.degree_cap == 512
-    # unknown keys are errors at every level
+    doc["limit"]["max_terms"] = 512.0
+    assert config_from_dict(doc).limit.max_terms == 512
+    # unknown keys are errors at every level, also the withdrawn limit.degree_cap
     with pytest.raises(ConfigError):
         law_from_dict({"family": "poisson", "lam": 2.0, "lamda": 3.0})
     for block, key in [(None, "limits"), ("environment", "weight"), ("displacement", "atoms"),
                        ("displacement", "weights"), ("simulation", "reps"), ("limit", "u_max"),
-                       ("comparison", "ks_tol")]:
+                       ("limit", "degree_cap"), ("comparison", "ks_tol")]:
         doc = config_to_dict(small_config())
         (doc[block] if block else doc)[key] = [1.0]
         with pytest.raises(ConfigError):
             config_from_dict(doc)
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["check", "--config", str(path)]) == 2
     # settings the simulator refuses are refused at load, by check as by simulate
     for key, value in [("top_k", 1), ("retain_delta", 0.0), ("jump_eta", -1.0), ("population_cap", 0)]:
         doc = config_to_dict(small_config())

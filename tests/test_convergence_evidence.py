@@ -116,7 +116,7 @@ def test_top_two_empirics_match_multiplicity_adjusted_form():
 
 def test_single_descendant_probability_feeding_adjustment(rng):
     # the 1/2 used above is the quenched size-one cluster probability
-    sampler = ClusterSampler(EnvStream(BINARY, rng, 4096), LimitConfig())
+    sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
     assert sampler.single_descendant_prob() == pytest.approx(0.5, rel=1e-8)
 
 

@@ -94,7 +94,7 @@ def test_cluster_sampler_draws_stay_in_support():
     # under Deterministic(2) every Z_i is 2^i: the top uniform picks the last
     # generation of positive weight and then the one size it can have
     cfg = LimitConfig()
-    stream = EnvStream(EnvironmentModel.single(Deterministic(2)), np.random.default_rng(1), 64)
+    stream = EnvStream(EnvironmentModel.single(Deterministic(2)), np.random.default_rng(1))
     sampler = ClusterSampler(stream, cfg)
     assert sampler.sample_size(TOP) == 2 ** (sampler.size_norm.terms_used - 1)
     v, sizes = sampler.sample_brood_vector(TOP)

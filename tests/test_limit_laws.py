@@ -24,6 +24,7 @@ from brwre.limit_laws import (
     top_two_cdf_multiplicity_adjusted,
 )
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
+from pmf_oracle import stream_pmf
 
 BINARY = EnvironmentModel.single(Deterministic(2))
 POISSON2 = EnvironmentModel.single(Poisson(2.0))
@@ -32,8 +33,8 @@ BOUNDED_MIX = EnvironmentModel((Binomial(3, 0.7), Finite((0.2, 0.3, 0.5))), (0.5
 CFG = LimitConfig()
 
 
-def fresh_stream(model, rng, cfg=CFG) -> EnvStream:
-    return EnvStream(model, rng, cfg.degree_cap)
+def fresh_stream(model, rng) -> EnvStream:
+    return EnvStream(model, rng)
 
 
 # ---------------------------------------------------------------- martingale
@@ -164,7 +165,7 @@ def test_every_series_draws_terms_used_laws(rng):
 
 
 def test_vector_norm_matches_direct_enumeration(rng):
-    # first ten terms recomputed from the truncated pmf arrays, no pgf shortcuts
+    # first ten terms recomputed from exact pmf arrays, no pgf shortcuts
     env = EnvironmentModel.single(Finite((0.2, 0.3, 0.5)))
     stream = fresh_stream(env, rng)
     from brwre.limit_laws import _series_terms
@@ -172,10 +173,10 @@ def test_vector_norm_matches_direct_enumeration(rng):
     _, terms = _series_terms("cluster_vector", stream, CFG)
     law = env.support[0]
     for i in range(10):
-        pmf = stream.gen_size_pmf(i)
-        assert pmf.mass_beyond == 0.0
-        s_total = pmf.probs.sum()
-        dead = pmf.probs[0]
+        pmf = stream_pmf(stream, i, 2 ** i)  # Z_i <= 2^i
+        s_total = pmf.sum()
+        assert s_total == pytest.approx(1.0, abs=1e-12)
+        dead = pmf[0]
         direct = sum(
             law.pmf(v) * (s_total ** v - dead ** v) for v in range(1, 3)
         ) / stream.pi(i + 1)
@@ -211,16 +212,14 @@ def test_cluster_size_ternary_support(rng):
 
 def _check_size_draws_against_assembled_pmf(model, rng) -> EnvStream:
     """Chi-square of 20 000 ``sample_size`` draws on a fresh stream against the
-    pmf assembled from its composed generation-size pmfs; returns the stream."""
+    pmf assembled from its exact generation-size pmfs; returns the stream."""
     stream = fresh_stream(model, rng)
     sampler = ClusterSampler(stream, CFG)
     terms = sampler.size_norm.terms_used
     rmax = 25
     pmf = np.zeros(rmax + 1)
     for i in range(terms):
-        gen = stream.gen_size_pmf(i)
-        upto = min(rmax, gen.degree)
-        pmf[: upto + 1] += gen.probs[: upto + 1] / stream.pi(i)
+        pmf += stream_pmf(stream, i, rmax) / stream.pi(i)
     pmf /= sampler.size_norm.value
     n = 20_000
     draws = np.array([sampler.sample_size(rng) for _ in range(n)])
@@ -293,6 +292,18 @@ def test_cluster_size_one_prob_binary(rng):
     stream = fresh_stream(BINARY, rng)
     sampler = ClusterSampler(stream, CFG)
     assert sampler.single_descendant_prob() == pytest.approx(0.5, rel=1e-8)
+
+
+def test_single_descendant_prob_matches_exact_pmfs(rng):
+    # the chain rule against P(Z_i = 1) of the convolution oracle, on
+    # streams whose two law orders give different sizes
+    for _ in range(5):
+        stream = fresh_stream(ORDER_MIX, rng)
+        sampler = ClusterSampler(stream, CFG)
+        exact = sum(
+            stream_pmf(stream, i, 1)[1] / stream.pi(i) for i in range(sampler.size_norm.terms_used)
+        ) / sampler.size_norm.value
+        assert sampler.single_descendant_prob() == pytest.approx(exact, rel=1e-12)
 
 
 # ------------------------------------------------------------------- Q draws
@@ -480,6 +491,16 @@ def test_pp_angular_atoms(rng):
     signs = np.asarray(signs)
     frac = (signs > 0).mean()
     assert abs(frac - 0.75) < 3 * math.sqrt(0.75 * 0.25 / signs.size)
+
+
+def test_pp_angular_refuses_broods_wider_than_coordinates():
+    # a Poisson brood can exceed the two coordinates; the draw refuses the
+    # model before it reads the rng, as SimConfig does, not mid-draw
+    rng = np.random.default_rng(3)
+    disp = DisplacementModel.diagonal_angular(2.0, 2)
+    with pytest.raises(ValueError, match="within the 2 angular coordinates"):
+        sample_limit_point_process(disp, EnvironmentModel.single(Poisson(3.0)), CFG, rng)
+    assert rng.random() == np.random.default_rng(3).random()
 
 
 def test_pp_draws_never_compose_pmfs(monkeypatch):

@@ -13,11 +13,10 @@ from brwre.offspring import (
     Finite,
     Geometric,
     Poisson,
-    TruncatedPMF,
     compose_generation,
     extinct_prob_by_gen,
-    generation_size_pmf,
 )
+from pmf_oracle import exact_compose, segment_pmf
 
 LAW_POOL = [
     Deterministic(2),
@@ -51,6 +50,8 @@ def test_pgf_domain_rejected():
         Poisson(2.0).pgf(1.5)
     with pytest.raises(ValueError):
         Deterministic(2).pgf(-0.1)
+    with pytest.raises(ValueError):
+        Poisson(2.0).pgf_prime(1.5)
 
 
 @pytest.mark.parametrize("law", LAW_POOL)
@@ -142,59 +143,61 @@ def test_extinct_prob_monotone_in_generations(rng):
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
 
+def _chain(env_rev):
+    """(P(Z = 0), P(Z = 1)) by compose_generation, env_rev[0] at the root."""
+    base = (0.0, 1.0)
+    for law in reversed(list(env_rev)):
+        base = compose_generation(law, base)
+    return base
+
+
+@pytest.mark.parametrize("law", LAW_POOL + [Deterministic(1), Binomial(1, 0.4), Poisson(30.0)])
+def test_pgf_prime_matches_series(law):
+    # sum_k k pmf(k) s^(k-1); an infinite support is cut at k = 400, where the terms are below 1e-80
+    ks = np.arange(1, (law.support_max or 400) + 1)
+    coeffs = ks * np.array([law.pmf(int(k)) for k in ks])
+    for s in np.linspace(0.0, 1.0, 11):
+        series = float(coeffs @ s ** (ks - 1.0))
+        assert law.pgf_prime(float(s)) == pytest.approx(series, rel=1e-12)
+
+
 def test_generation_size_pmf_deterministic_cube():
-    pmf = generation_size_pmf([Deterministic(2)] * 3, 4096)
-    assert pmf.mass_beyond == 0.0
-    assert pmf.probs[8] == pytest.approx(1.0, abs=1e-15)
-    assert pmf.probs[:8] == pytest.approx(np.zeros(8), abs=1e-15)
+    pmf = segment_pmf([Deterministic(2)] * 3, 16)
+    assert pmf[8] == 1.0 and pmf.sum() == 1.0
+    assert _chain([Deterministic(2)] * 3) == (0.0, 0.0)
 
 
 def test_generation_size_pmf_single_generation_copies_law():
-    pmf = generation_size_pmf([Finite((0.5, 0.0, 0.5))], 4096)
-    assert pmf.probs == pytest.approx([0.5, 0.0, 0.5], abs=1e-15)
-    assert pmf.mass_beyond == 0.0
+    law = Finite((0.5, 0.0, 0.5))
+    assert segment_pmf([law], 16)[:4] == pytest.approx([0.5, 0.0, 0.5, 0.0], abs=1e-15)
+    assert _chain([law]) == (0.5, 0.0)
 
 
 def test_generation_size_pmf_poisson_truncation():
-    pmf = generation_size_pmf([Poisson(2.0)], 50)
-    expect = st.poisson.pmf(np.arange(pmf.degree + 1), 2.0)
-    assert np.abs(pmf.probs - expect).max() < 1e-14
-    assert pmf.mass_beyond < 1e-12
+    pmf = segment_pmf([Poisson(2.0)], 50)
+    expect = st.poisson.pmf(np.arange(51), 2.0)
+    assert np.abs(pmf - expect).max() < 1e-14
+    assert _chain([Poisson(2.0)]) == pytest.approx(expect[:2], abs=1e-16)
 
 
 def test_generation_size_pmf_empty_is_one_particle():
-    pmf = generation_size_pmf([], 16)
-    assert pmf.probs == pytest.approx([0.0, 1.0])
-    assert pmf.mass_beyond == 0.0
+    assert segment_pmf([], 16) == pytest.approx(np.eye(17)[1])
+    assert _chain([]) == (0.0, 1.0)
 
 
 def test_pmf_zero_entry_matches_scalar_composition(rng):
-    # pgf composition consistency whenever the truncation never spilled
+    # the chain rule carries the scalar extinction composition along unchanged
     for trial in range(25):
         env = [LAW_POOL[int(i)] for i in rng.integers(0, len(LAW_POOL), int(rng.integers(1, 6)))]
-        pmf = generation_size_pmf(env, 2048)
-        if pmf.mass_beyond < 1e-9:
-            assert abs(pmf.probs[0] - extinct_prob_by_gen(env)) < 1e-9
+        assert _chain(env)[0] == extinct_prob_by_gen(env)
 
 
-def test_mass_conservation_and_mean_bound(rng):
-    for trial in range(25):
-        env = [LAW_POOL[int(i)] for i in rng.integers(0, len(LAW_POOL), int(rng.integers(1, 7)))]
-        cap = int(rng.choice([64, 256, 2048]))
-        pmf = generation_size_pmf(env, cap)
-        assert np.all(pmf.probs >= 0.0)
-        assert abs(pmf.probs.sum() + pmf.mass_beyond - 1.0) < 1e-9
-        mean_product = float(np.prod([law.mean() for law in env]))
-        assert pmf.mean_lower_bound() <= mean_product * (1.0 + 1e-9)
-
-
-def test_mean_converges_with_cap():
-    env = [Poisson(2.0), Poisson(3.0)]
-    exact = 6.0
-    lo = generation_size_pmf(env, 16).mean_lower_bound()
-    hi = generation_size_pmf(env, 512).mean_lower_bound()
-    assert lo <= hi <= exact + 1e-9
-    assert hi == pytest.approx(exact, rel=1e-9)
+def test_chain_rule_matches_exact_convolution(rng):
+    # random segments over all five families against the convolution oracle
+    for trial in range(60):
+        env = [LAW_POOL[int(i)] for i in rng.integers(0, len(LAW_POOL), int(rng.integers(1, 9)))]
+        exact = segment_pmf(env, 32)
+        assert np.abs(np.array(_chain(env)) - exact[:2]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("env", [
@@ -203,7 +206,7 @@ def test_mean_converges_with_cap():
     [Finite((0.2, 0.3, 0.5)), Finite((0.1, 0.9)), Binomial(2, 0.6)],
 ])
 def test_pmf_matches_simulation(env, rng):
-    pmf = generation_size_pmf(env, 4096)
+    pmf = segment_pmf(env, 16)
     n = 100_000
     draws = np.empty(n, dtype=np.int64)
     for i in range(n):
@@ -214,84 +217,9 @@ def test_pmf_matches_simulation(env, rng):
                 break
         draws[i] = z
     for r in range(10):
-        p = pmf.probs[r] if r <= pmf.degree else 0.0
+        p = pmf[r]
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs((draws == r).mean() - p) < 3 * se + 1e-9
-
-
-def test_truncated_pmf_invariants():
-    with pytest.raises(ValueError):
-        TruncatedPMF(np.array([0.5, 0.4]), 0.2)  # mass 1.1
-    with pytest.raises(ValueError):
-        TruncatedPMF(np.array([-0.1, 1.1]), 0.0)
-    pmf = TruncatedPMF(np.array([0.25, 0.5]), 0.25)
-    assert pmf.degree == 1
-
-
-def test_compose_spills_to_mass_beyond():
-    base = generation_size_pmf([Deterministic(3)] * 2, 4096)  # point mass at 9
-    squeezed = compose_generation(Deterministic(3), base, 16)  # 27 > 16
-    assert squeezed.probs.sum() == pytest.approx(0.0, abs=1e-15)
-    assert squeezed.mass_beyond == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pgf_many_matches_scalar_pgf():
-    s_grid = np.linspace(0.0, 1.0, 9)
-    for law in LAW_POOL:
-        many = law.pgf_many(s_grid + 0j)
-        assert np.abs(many - [law.pgf(float(s)) for s in s_grid]).max() < 1e-15
-
-
-@pytest.mark.parametrize("law", LAW_POOL + [
-    Poisson(1.3), Poisson(2.5), Poisson(4.0), Binomial(2000, 0.5), Finite((0.5, 0.5, 0.0)),
-])
-def test_coefficients_end_at_last_nonzero(law):
-    coeffs, _ = law.coefficients(4096)
-    assert coeffs[-1] > 0.0
-
-
-def test_poisson_coefficients_stop_past_underflow():
-    # the running sum stalls below 1 - 1e-16 for this rate; the list must
-    # still end where the terms underflow, not at the cap
-    assert len(Poisson(2.5).coefficients(4096)[0]) < 300
-
-
-def _exact_compose(law, base: np.ndarray, cap: int) -> np.ndarray:
-    """Truncated sum_k P(law = k) base^{*k} by direct convolution powers.
-
-    The law's coefficients run past the cap (a zero-heavy base puts mass of
-    many copies below it) until they fall under 1e-20 beyond the mean.
-    """
-    coeffs = [law.pmf(0)]
-    k = 0
-    while law.support_max is None or k < law.support_max:
-        k += 1
-        coeffs.append(law.pmf(k))
-        if law.support_max is None and k > law.mean() and coeffs[-1] < 1e-20:
-            break
-    out = np.zeros(cap + 1)
-    out[0] = coeffs[0]
-    power = np.ones(1)
-    for c in coeffs[1:]:
-        power = np.convolve(power, base)[: cap + 1]
-        out[: power.size] += c * power
-        if power.sum() < 1e-18:
-            break
-    return out
-
-
-def _assert_matches_exact(law, base: TruncatedPMF, exact_base: np.ndarray, cap: int):
-    """One FFT compose step against the exact one; returns both results."""
-    pmf = compose_generation(law, base, cap)
-    exact = _exact_compose(law, exact_base, cap)
-    fft = np.zeros(cap + 1)
-    fft[: pmf.probs.size] = pmf.probs
-    diff = np.abs(fft - exact).max()
-    assert diff <= pmf.error_bound
-    assert diff <= 1e-12
-    assert np.all(pmf.probs >= 0.0)
-    assert abs(pmf.probs.sum() + pmf.mass_beyond - 1.0) <= 1e-12
-    return pmf, exact
 
 
 @pytest.mark.parametrize("law,cap,depth", [
@@ -299,15 +227,13 @@ def _assert_matches_exact(law, base: TruncatedPMF, exact_base: np.ndarray, cap: 
     (Poisson(1.3), 4096, 12),  # near-critical: the pmf fills the whole cap
 ])
 def test_compose_matches_exact_convolution(law, cap, depth):
-    pmf = TruncatedPMF(np.array([0.0, 1.0]), 0.0)
-    exact = pmf.probs
+    # entries 0 and 1 of `depth` compose steps against the truncated
+    # convolution powers, which are exact up to the cap
+    base, exact = (0.0, 1.0), np.eye(cap + 1)[1]
     for _ in range(depth):
-        pmf, exact = _assert_matches_exact(law, pmf, exact, cap)
-
-
-def test_compose_matches_exact_convolution_spilled():
-    base = generation_size_pmf([Deterministic(3)] * 2, 4096)  # point mass at 9
-    _assert_matches_exact(Deterministic(3), base, base.probs, 16)
+        base = compose_generation(law, base)
+        exact = exact_compose(law, exact, cap)
+        assert np.abs(np.array(base) - exact[:2]).max() <= 1e-14
 
 
 def test_import_does_not_load_scipy():

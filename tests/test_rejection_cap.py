@@ -69,8 +69,7 @@ def test_martingale_survival_restart_gives_up(small_cap, rng):
 def test_cluster_size_draw_gives_up(small_cap, monkeypatch, rng):
     # a conditioned size draw repeats the population walk until Z_i >= 1,
     # and a walk that always dies out never gets there
-    cfg = LimitConfig()
-    sampler = ClusterSampler(EnvStream(BINARY, rng, cfg.degree_cap), cfg)
+    sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
     walks = []
 
     def extinct_walk(self, i, rng):
@@ -84,7 +83,7 @@ def test_cluster_size_draw_gives_up(small_cap, monkeypatch, rng):
 
 
 def test_brood_vector_rejection_gives_up(small_cap, monkeypatch, rng):
-    sampler = ClusterSampler(EnvStream(BINARY, rng, 64), LimitConfig(degree_cap=64))
+    sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
     draws = []
 
     def extinct(self, i, rng, conditioned):
