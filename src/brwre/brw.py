@@ -36,8 +36,9 @@ class SimConfig:
     condition_on_survival: bool = True
     jump_eta: float = 0.1
     seed: int = 0
-    # locating the argmax leaf's biggest path jump costs extra per-particle
-    # state; switch it off for very large populations
+    # locating the argmax leaf's biggest path jump costs two more arrays over
+    # the inner generations (the leaves read it off their parents); switch it
+    # off for very large populations
     track_argmax_jump: bool = True
 
     def __post_init__(self):
@@ -81,7 +82,8 @@ def draw_generation(law, disp: DisplacementModel, n_parents: int, rng, cap: int)
     """Child counts and flat brood displacements for one generation.
 
     Shared by the streaming simulator and the naive oracle so that both see
-    the same random stream.
+    the same random stream.  The displacement array is fresh, as
+    :func:`brood_flat` returns it: the caller owns it and may overwrite it.
     """
     counts = law.sample_many(rng, n_parents)
     total = int(counts.sum())
@@ -128,7 +130,13 @@ def _replicate(config: SimConfig, rng, grow) -> BrwOutcome:
 
 
 def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
-    """Flat per-particle arrays, updated generation by generation."""
+    """Flat per-particle arrays, updated generation by generation.
+
+    Only the inner generations carry jump counters (and, when tracking, each
+    particle's biggest step and its generation).  The leaves carry their
+    positions only: leaf i's parent is the first index whose cumulative child
+    count exceeds i, and every other leaf quantity is read off that parent.
+    """
     n = config.n
     thr_jump = config.jump_eta * b
     thr_big = config.retain_delta * b
@@ -140,46 +148,58 @@ def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
     z = np.zeros(n + 1, dtype=np.int64)
     z[0] = 1
     hist = np.zeros(n + 1, dtype=np.int64)
-    for g in range(n):
+    for g in range(1, n + 1):
         counts, x = draw_generation(
-            env_seq.laws[g], config.disp, pos.size, rng, config.population_cap
+            env_seq.laws[g - 1], config.disp, pos.size, rng, config.population_cap
         )
-        total = x.size
-        if total == 0:
+        if x.size == 0:
             return z, None
-        z[g + 1] = total
-        absx = np.abs(x)
+        z[g] = x.size
+        pos = np.repeat(pos, counts)
+        pos += x
+        # the displacements are ours (see draw_generation): |x| overwrites them
+        absx = np.abs(x, out=x)
         big = absx > thr_jump
-        hist[g + 1] = int(big.sum()) if thr_big == thr_jump else int((absx > thr_big).sum())
+        hist[g] = np.count_nonzero(big if thr_big == thr_jump else absx > thr_big)
+        if g == n:
+            break
         jumps = np.repeat(jumps, counts)
         jumps += big
-        rep_pos = np.repeat(pos, counts)
-        np.add(rep_pos, x, out=rep_pos)
-        pos = rep_pos
         if track:
-            rep_best = np.repeat(best_abs, counts)
-            bigger = absx > rep_best
-            np.maximum(rep_best, absx, out=rep_best)
-            best_abs = rep_best
-            best_gen = np.where(bigger, np.int16(g + 1), np.repeat(best_gen, counts))
+            best_abs = np.repeat(best_abs, counts)
+            bigger = absx > best_abs
+            np.maximum(best_abs, absx, out=best_abs)
+            best_gen = np.repeat(best_gen, counts)
+            best_gen[bigger] = g
 
-    k = min(config.top_k, pos.size)
-    # one partitioned copy: the k largest to the right, then, in place, the k
-    # smallest to the left of them (a population under 2k is sorted outright)
-    if pos.size >= 2 * k:
-        parted = np.partition(pos, pos.size - k)
-        parted[: pos.size - k].partition(k - 1)
-    else:
-        parted = np.sort(pos)
-    top = np.sort(parted[pos.size - k :])[::-1].copy()
-    bottom = np.sort(parted[:k])
-    keep = np.abs(pos) > config.retain_delta * b
+    ends = np.cumsum(counts)
+    # a leaf path has two big jumps if its parent's has, or if its parent's
+    # has one and the leaf's own step is big
+    big_parents = np.searchsorted(ends, np.flatnonzero(big), side="right")
+    two_jump_paths = int(counts[jumps >= 2].sum() + np.count_nonzero(jumps[big_parents] == 1))
+    arg = int(np.argmax(pos))
+    max_leaf_jump_gen = None
+    if track:
+        parent = int(np.searchsorted(ends, arg, side="right"))
+        max_leaf_jump_gen = n if absx[arg] > best_abs[parent] else int(best_gen[parent])
+    keep = np.abs(pos, out=absx) > thr_big
     atoms = PointMeasure.from_locations(pos[keep] / b)
     diags = Diagnostics(
-        paths_with_two_big_jumps=int((jumps >= 2).sum()),
+        paths_with_two_big_jumps=two_jump_paths,
         big_jump_generations=hist,
-        max_leaf_jump_gen=int(best_gen[int(np.argmax(pos))]) if track else None,
+        max_leaf_jump_gen=max_leaf_jump_gen,
     )
+
+    k = min(config.top_k, pos.size)
+    # in place: the k largest to the right, then the k smallest to the left of
+    # them (a population under 2k is sorted outright)
+    if pos.size >= 2 * k:
+        pos.partition(pos.size - k)
+        pos[: pos.size - k].partition(k - 1)
+    else:
+        pos.sort()
+    top = np.sort(pos[pos.size - k :])[::-1].copy()
+    bottom = np.sort(pos[:k])
     return z, (atoms, top, bottom, diags)
 
 

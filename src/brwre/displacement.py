@@ -206,7 +206,9 @@ def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
     ``counts[i]`` children for parent i; the result is flat, ordered by parent
     then within-brood rank.  The rng consumption order is part of the
     replay/oracle contract: counts first (by the caller), then one batched
-    magnitude draw, then one batched sign draw where applicable.
+    magnitude draw, then one batched sign draw where applicable.  The result
+    is a fresh array that no one else references, so the caller may
+    overwrite it (the simulator writes |x| into it).
     """
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,12 +8,13 @@ import pytest
 from brwre.brw import (
     SimConfig,
     diagnostics_report,
+    draw_generation,
     replication_rng,
     run_replications,
     simulate,
     simulate_naive,
 )
-from brwre.displacement import DisplacementModel
+from brwre.displacement import DisplacementModel, brood_flat
 from brwre.environment import EnvironmentModel
 from brwre.errors import PopulationCapExceeded
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
@@ -138,6 +141,9 @@ def test_retention_threshold_empties_measure():
     assert simulate(cfg).atoms.n_atoms == 0
 
 
+RETAIN_DELTAS = (0.05, 0.2, 1.0)
+
+
 def _random_config(rng) -> SimConfig:
     envs = [
         BINARY,
@@ -160,16 +166,22 @@ def _random_config(rng) -> SimConfig:
         n=int(rng.integers(1, 9)),
         env=pool[int(rng.integers(0, len(pool)))],
         disp=disp,
-        retain_delta=float(rng.choice([0.05, 0.2, 1.0])),
+        retain_delta=float(rng.choice(RETAIN_DELTAS)),
         top_k=int(rng.integers(2, 5)),
         condition_on_survival=bool(rng.integers(0, 2)),
+        # every retain_delta value, so that some configs share the two
+        # thresholds as both shipped configs do
+        jump_eta=float(rng.choice(RETAIN_DELTAS + (0.01, 0.1))),
         seed=int(rng.integers(0, 2 ** 60)),
+        track_argmax_jump=bool(rng.integers(0, 2)),
     )
 
 
 def test_streaming_equals_naive_oracle(rng):
-    for _ in range(25):
-        cfg = _random_config(rng)
+    configs = [_random_config(rng) for _ in range(40)]
+    assert any(cfg.jump_eta == cfg.retain_delta for cfg in configs)
+    assert {cfg.track_argmax_jump for cfg in configs} == {True, False}
+    for cfg in configs:
         assert outcomes_equal(simulate(cfg), simulate_naive(cfg)), cfg
     # fixed inputs for the restart driver's branches: restart, extinct outcome
     for conditioned in (True, False):
@@ -189,6 +201,74 @@ def test_streaming_equals_naive_oracle(rng):
     fast, slow = simulate(cfg), simulate_naive(cfg)
     assert outcomes_equal(fast, slow)
     assert fast.diagnostics.max_leaf_jump_gen is None
+
+
+@pytest.mark.parametrize(
+    "n, env, jump_eta, two_jumps",
+    [
+        # every step is big: each parent of a leaf has exactly one jump at
+        # n = 2, two at n = 3
+        (2, MIXTURE, 1e-6, True),
+        (3, BINARY, 1e-6, True),
+        # P(0) > 0: some parents of the leaves have no children
+        (5, EnvironmentModel.single(Geometric(0.4)), 0.05, True),
+        (5, EnvironmentModel.single(Poisson(1.5)), 0.1, None),
+        # the root is the only parent of the leaves
+        (1, MIXTURE, 1e-6, False),
+        (1, BINARY, 0.1, False),
+    ],
+)
+def test_streaming_equals_naive_at_leaf_edge_cases(n, env, jump_eta, two_jumps):
+    for track in (True, False):
+        cfg = SimConfig(n=n, env=env, disp=IID21, jump_eta=jump_eta, seed=21, track_argmax_jump=track)
+        fast = [simulate(cfg, replication_rng(21, r)) for r in range(8)]
+        slow = [simulate_naive(cfg, replication_rng(21, r)) for r in range(8)]
+        assert all(outcomes_equal(a, b) for a, b in zip(fast, slow))
+        counts = [o.diagnostics.paths_with_two_big_jumps for o in fast]
+        if two_jumps is not None:
+            assert all(c > 0 for c in counts) if two_jumps else not any(counts)
+        if jump_eta < 1e-3 and n >= 2:
+            # every leaf path is past the threshold at every step
+            assert counts == [int(o.z[-1]) for o in fast]
+
+
+def test_displacements_are_fresh_and_writable():
+    # the simulator overwrites the displacements with |x|, so draw_generation
+    # and brood_flat must hand out arrays nobody else holds
+    models = [
+        DisplacementModel.iid(2.0, 1.0),
+        DisplacementModel.iid(1.5, 0.4),
+        DisplacementModel.full_dep(2.0, 0.5),
+        DisplacementModel.diagonal_angular(2.0, 3, 0.5),
+    ]
+    counts = np.array([2, 0, 3, 1, 3], dtype=np.int64)
+    law = Binomial(3, 0.8)
+    for model in models:
+        rng = np.random.default_rng(3)
+        x = brood_flat(model, counts, rng)
+        assert x.size == counts.sum() and x.base is None and x.flags.writeable, model.mode
+        _, x = draw_generation(law, model, 6, rng, 1000)
+        assert x.base is None and x.flags.writeable, model.mode
+    _, x = draw_generation(law, IID21, 0, rng, 1000)
+    assert x.size == 0 and x.base is None and x.flags.writeable
+
+
+def test_peak_memory_per_leaf():
+    # the leaf generation holds its positions and displacements (8 + 8 bytes a
+    # leaf) plus a few bytes of flags; leaf-sized jump counters and copies of
+    # the positions would read 47-62 bytes a leaf here
+    cfg = SimConfig(n=14, env=MIXTURE, disp=IID21, retain_delta=0.1, seed=5)
+    for track, bound in ((True, 45.0), (False, 40.0)):
+        run = dataclasses.replace(cfg, track_argmax_jump=track)
+        rng = replication_rng(5, 0)
+        tracemalloc.start()
+        try:
+            outcome = simulate(run, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.z[-1] > 100_000
+        assert peak / outcome.z[-1] < bound, (track, peak / outcome.z[-1])
 
 
 def test_threaded_replications_match_serial():

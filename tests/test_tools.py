@@ -97,3 +97,36 @@ def test_perfbench_tracer_installs():
     assert len(patched) > 20
     for owner, attr, raw in patched:
         assert vars(owner)[attr] is raw
+
+
+def test_output_digests_past_meta_ignores_only_the_config_hash(tmp_path, monkeypatch):
+    # one config under two names: the output directory, and so the config
+    # hash, differs, and nothing else
+    base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
+    small = dataclasses.replace(
+        base,
+        simulation=SimSettings(n=(3,), replications=2),
+        limit=dataclasses.replace(base.limit, n_limit_samples=20),
+    )
+    for name in ("one", "two"):
+        (tmp_path / f"{name}.yaml").write_text(dump_config(small))
+    monkeypatch.chdir(tmp_path)
+    tool = _load_tool("output_digests")
+
+    def listing(name, past_meta):
+        lines = tool.digest_config(str(tmp_path / f"{name}.yaml"), 2, 1, past_meta)
+        return [line.replace(f"{name}/", "") for line in lines]
+
+    plain, past = listing("one", False), listing("two", True)
+    assert len(plain) == len(past)
+    data = [i for i, line in enumerate(plain) if line.endswith((".csv", ".json"))]
+    assert {line.rsplit(".", 1)[1] for line in map(plain.__getitem__, data)} == {"csv", "json"}
+    # the plain digests differ on every data file, and only there
+    assert [i for i, (a, b) in enumerate(zip(plain, listing("two", False))) if a != b] == data
+    assert listing("one", True) == past
+    # a JSON file past its meta field is its bytes without the meta line
+    with open("two/check/check.json") as fh:
+        lines = fh.read().split("\n")
+    assert lines[1].startswith('  "meta": ')
+    without = "\n".join(lines[:1] + lines[2:]).encode()
+    assert tool.file_digest("two/check/check.json", True) == tool.sha256(without)

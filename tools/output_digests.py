@@ -16,6 +16,13 @@ temporary directory, so the listings of two checkouts can be compared with
 
 Data files are byte-identical across reruns and ``--threads`` values, so any
 line that differs is a change in output.
+
+Every data file starts with the config hash: the first line of a CSV file,
+the ``meta`` field of a JSON file.  A change that moves the hash (a change to
+the config schema or to ``config_to_dict``) therefore moves every data
+digest.  ``--past-meta`` digests each CSV file past its first line and each
+JSON file without its ``meta`` field, so the rest of the output can still be
+compared in one run.
 """
 
 from __future__ import annotations
@@ -85,7 +92,21 @@ def derived_configs(directory: str) -> list:
     return paths
 
 
-def digest_config(config: str, reps: int, threads: int) -> list:
+def file_digest(path: str, past_meta: bool) -> str:
+    """sha256 of the file at ``path``; with ``past_meta``, of all but its config hash."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if past_meta and path.endswith(".csv"):
+        data = data.split(b"\n", 1)[-1]
+    elif past_meta and path.endswith(".json"):
+        doc = json.loads(data)
+        doc.pop("meta", None)
+        # the CLI writes with indent=2, so this re-dump is the file without its meta line
+        data = json.dumps(doc, indent=2).encode()
+    return sha256(data)
+
+
+def digest_config(config: str, reps: int, threads: int, past_meta: bool = False) -> list:
     """Digest lines of every command on ``config``, writing below the working directory."""
     name = os.path.splitext(os.path.basename(config))[0]
     lines = []
@@ -100,8 +121,7 @@ def digest_config(config: str, reps: int, threads: int) -> list:
         lines.append(f"{sha256(stdout.getvalue().encode())}  {name}/{command}/stdout")
         # a command that stopped before writing (exit 2 or 3) leaves no directory
         for fname in sorted(os.listdir(out)) if os.path.isdir(out) else []:
-            with open(os.path.join(out, fname), "rb") as fh:
-                lines.append(f"{sha256(fh.read())}  {name}/{command}/{fname}")
+            lines.append(f"{file_digest(os.path.join(out, fname), past_meta)}  {name}/{command}/{fname}")
     return lines
 
 
@@ -109,6 +129,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=20, help="--reps of every command: replications, or limit draws for limit")
     parser.add_argument("--threads", type=int, default=1, help="worker processes for replications")
+    parser.add_argument(
+        "--past-meta", action="store_true", help="digest CSV files past their first line and JSON files without 'meta'"
+    )
     args = parser.parse_args(argv)
     configs = sorted(
         os.path.join(ROOT, "configs", f) for f in os.listdir(os.path.join(ROOT, "configs")) if f.endswith(".yaml")
@@ -118,7 +141,7 @@ def main(argv=None) -> int:
         os.chdir(tmp)
         try:
             for config in configs + derived_configs(tmp):
-                print("\n".join(digest_config(config, args.reps, args.threads)), flush=True)
+                print("\n".join(digest_config(config, args.reps, args.threads, args.past_meta)), flush=True)
         finally:
             os.chdir(cwd)
     return 0
