@@ -13,9 +13,8 @@ from .brw import (
 )
 from .displacement import (
     DisplacementModel,
-    Pattern,
+    exceedance_masses,
     norming_constant,
-    pattern_mass,
     sample_brood,
 )
 from .environment import (

@@ -37,14 +37,27 @@ def _known(doc, allowed, what: str) -> dict:
     return doc
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float; numbers pass, booleans and strings do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _reals(value, what: str) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_real(v, what) for v in value)
 
 
-# Law field type (as annotated) -> reader of its config value.
-_READERS = {"int": _integral, "float": lambda value, what: float(value), "tuple": _reals}
+def _boolean(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+# Field type (as annotated) -> reader of its config value.
+_READERS = {"int": _integral, "float": _real, "tuple": _reals, "bool": _boolean}
 
 
 def _fields_doc(obj) -> dict:
@@ -73,10 +86,10 @@ def law_from_dict(doc: dict) -> OffspringLaw:
 
 
 def _settings(cls, doc, what: str):
-    """A settings dataclass from its config block: known keys only, ``int`` fields whole numbers."""
+    """A settings dataclass from its config block: known keys only, each value read by its field's type."""
     types = {f.name: f.type for f in fields(cls)}
     _known(doc, types, what)
-    return cls(**{k: _integral(v, f"{what}.{k}") if types[k] == "int" else v for k, v in doc.items()})
+    return cls(**{k: _READERS[types[k]](v, f"{what}.{k}") for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -163,7 +176,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         env_doc = _known(doc["environment"], ("support", "weights"), "environment")
         env = EnvironmentModel(
             tuple(law_from_dict(d) for d in env_doc["support"]),
-            tuple(float(w) for w in env_doc["weights"]),
+            _reals(env_doc["weights"], "environment.weights"),
         )
         disp_doc = _known(doc["displacement"], ("mode", "alpha", "p", "atoms", "weights"), "displacement")
         mode = disp_doc.get("mode", "iid")
@@ -171,11 +184,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if not angular and ("atoms" in disp_doc or "weights" in disp_doc):
             raise ConfigError(f"displacement mode {mode!r} takes no atoms or weights")
         disp = DisplacementModel(
-            alpha=float(disp_doc["alpha"]),
-            p=float(disp_doc["p"]),
+            alpha=_real(disp_doc["alpha"], "displacement.alpha"),
+            p=_real(disp_doc["p"], "displacement.p"),
             mode=mode,
-            atoms=tuple(tuple(float(x) for x in row) for row in disp_doc["atoms"]) if angular else (),
-            weights=tuple(float(w) for w in disp_doc["weights"]) if angular else (),
+            atoms=tuple(_reals(row, "displacement.atoms") for row in disp_doc["atoms"]) if angular else (),
+            weights=_reals(disp_doc["weights"], "displacement.weights") if angular else (),
         )
         cfg = ExperimentConfig(
             environment=env,

@@ -10,13 +10,13 @@ Three dependence regimes share one marginal: P(|X| > t) = t^(-alpha) exactly
   atoms, so the balance p is derived, not free.
 
 The limit tail measure is standardised so the single-coordinate exceedance
-mass nu({|x_1| > 1}) equals 1; pattern masses over products of (-inf, 1] and
-(1, inf] then have the closed forms implemented in :func:`pattern_mass`.
+mass nu({|x_1| > 1}) equals 1; the masses of "exactly k of the first v
+coordinates exceed 1", the exceedance-count law that decorates each point of
+the limit process, then have the closed forms of :func:`exceedance_masses`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,26 +26,6 @@ from .offspring import cut_points
 MODES = ("iid", "full_dep", "discrete_angular")
 
 _MARGINAL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """Which coordinates of a size-v brood exceed the threshold."""
-
-    bits: tuple
-
-    def __post_init__(self):
-        if len(self.bits) < 1 or any(b not in (0, 1) for b in self.bits):
-            raise ValueError("pattern must be a nonempty 0/1 vector")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    @property
-    def v(self) -> int:
-        return len(self.bits)
-
-    @property
-    def ones(self) -> int:
-        return sum(self.bits)
 
 
 @dataclass(frozen=True)
@@ -240,38 +220,30 @@ def sample_brood(model: DisplacementModel, v: int, rng) -> np.ndarray:
     return brood_flat(model, np.array([v], dtype=np.int64), rng)
 
 
-def pattern_mass(model: DisplacementModel, pattern: Pattern) -> float:
-    """Limit-measure mass of the exceedance pattern region.
+def exceedance_masses(model: DisplacementModel, v: int) -> np.ndarray:
+    """Limit-measure masses of exceedance counts: entry k - 1 is
+    nu(exactly k of the first v coordinates exceed 1), for k = 1..v.
 
-    Coordinates with bit 1 must exceed 1, bits 0 must not; coordinates past
-    the pattern are unconstrained.  Requires at least one exceeding
-    coordinate (the all-zero region has infinite mass near the origin).
+    Under an angular atom a of weight w, let c_(1) >= ... >= c_(m) be the
+    positive values among a_1..a_v: exactly k coordinates exceed 1 on the
+    radii (1/c_(k), 1/c_(k+1)], of mass w (c_(k)^alpha - c_(k+1)^alpha) with
+    c_(m+1) = 0.  Tied values give empty intervals and need no special case.
     """
-    if pattern.ones < 1:
-        raise ValueError("pattern must have at least one exceeding coordinate")
+    if v < 1:
+        raise ValueError("brood size must be >= 1")
+    masses = np.zeros(v)
     if model.mode == "iid":
-        return model.p if pattern.ones == 1 else 0.0
+        masses[0] = v * model.p
+        return masses
     if model.mode == "full_dep":
-        return model.p if pattern.ones == pattern.v else 0.0
-    v = pattern.v
+        masses[v - 1] = model.p
+        return masses
     if v > model.n_coords:
-        raise ValueError(f"pattern length {v} exceeds the {model.n_coords} coordinates")
-    alpha = model.alpha
-    total = 0.0
-    for atom, w in zip(model.atom_matrix(), model.weights):
-        a = atom[:v]
-        lo = 0.0
-        feasible = True
-        hi = math.inf
-        for bit, aj in zip(pattern.bits, a):
-            if bit:
-                if aj <= 0.0:
-                    feasible = False
-                    break
-                lo = max(lo, 1.0 / aj)
-            elif aj > 0.0:
-                hi = min(hi, 1.0 / aj)
-        if not feasible or hi <= lo or lo <= 0.0:
-            continue
-        total += w * (lo ** -alpha - (0.0 if math.isinf(hi) else hi ** -alpha))
-    return total
+        raise ValueError(f"brood size {v} exceeds the {model.n_coords} angular coordinates")
+    for atom, w in zip(model.atoms, model.weights):
+        # radial tail mass above each threshold 1/c_(k), then none past c_(m)
+        positive = sorted((c for c in atom[:v] if c > 0.0), reverse=True)
+        tails = [(1.0 / c) ** -model.alpha for c in positive] + [0.0]
+        for k in range(len(positive)):
+            masses[k] += w * (tails[k] - tails[k + 1])
+    return masses

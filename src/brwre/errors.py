@@ -17,7 +17,7 @@ class NonGeometricGrowth(BrwreError):
 
 
 class UnboundedProgenyInGeneralMode(BrwreError):
-    """Pattern-sum evaluation requires offspring laws with bounded support."""
+    """The exceedance-count series of the general Q route needs offspring laws with bounded support."""
 
 
 class SupportBelowRetention(BrwreError):

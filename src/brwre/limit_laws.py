@@ -14,17 +14,21 @@ series terms by one search of a cut-point table
 (:func:`brwre.offspring.cut_points`).  One count-level population walk serves
 both the martingale limit W (frozen once Z reaches 10^12) and every cluster
 size (stopped past 10^14).
+
+The general route of the mixing scale Q reads the tail measure only through
+the exceedance-count masses of :func:`brwre.displacement.exceedance_masses`:
+a brood of v children with k coordinates above 1 adds to Q when one of those
+k lines survives.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .displacement import DisplacementModel, Pattern, pattern_mass
+from .displacement import DisplacementModel, exceedance_masses
 from .environment import EnvironmentModel, sample_env, series_tail
 from .errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode, first_accepted
 from .measures import PointMeasure
@@ -35,8 +39,6 @@ from .offspring import compose_generation, cut_points
 _FREEZE_POPULATION = 1_000_000_000_000
 # Cluster-size walks stop past 10^14, before the count samplers overflow.
 _SIZE_STOP = 10 ** 14 + 1
-# Pattern enumeration is 2^v; refuse silly brood sizes.
-_MAX_PATTERN_BROOD = 20
 
 
 @dataclass(frozen=True)
@@ -256,34 +258,17 @@ class ClusterSampler:
         return total / self.size_norm.value
 
 
-def _pattern_sums(model: DisplacementModel, v: int, memo: dict) -> np.ndarray:
-    """S[k] = total pattern mass over length-v patterns with k exceedances."""
-    if v in memo:
-        return memo[v]
-    if v > _MAX_PATTERN_BROOD:
-        raise ValueError(f"pattern enumeration over 2^{v} patterns refused")
-    sums = np.zeros(v + 1)
-    for k in range(1, v + 1):
-        for ones in itertools.combinations(range(v), k):
-            bits = [0] * v
-            for j in ones:
-                bits[j] = 1
-            sums[k] += pattern_mass(model, Pattern(tuple(bits)))
-    memo[v] = sums
-    return sums
-
-
 def _general_q_series(
     disp: DisplacementModel, stream: EnvStream, cfg: LimitConfig
 ) -> SeriesValue:
-    """The environment part of the mixing scale via pattern-mass sums."""
+    """The environment part of the mixing scale from the exceedance-count masses."""
     vmaxes = [law.support_max for law in stream.model.support]
     if any(v is None for v in vmaxes):
         raise UnboundedProgenyInGeneralMode(
-            "pattern-sum evaluation needs bounded progeny support"
+            "the exceedance-count series needs bounded progeny support"
         )
     disp.check_broods(stream.model.support)
-    memo: dict = {}
+    masses = {v: exceedance_masses(disp, v) for v in range(1, max(vmaxes) + 1)}
 
     def term(i: int) -> float:
         law = stream.law(i)
@@ -293,13 +278,12 @@ def _general_q_series(
             pv = law.pmf(v)
             if pv == 0.0:
                 continue
-            sums = _pattern_sums(disp, v, memo)
             ks = np.arange(1, v + 1)
-            inner += pv * float((1.0 - e_i ** ks) @ sums[1:])
+            inner += pv * float((1.0 - e_i ** ks) @ masses[v])
         return inner / stream.pi(i + 1)
 
     # each term is at most p * 1/pi_i (single-coordinate union bound)
-    return _certified_sum(term, stream, cfg, 0, "pattern series")[0]
+    return _certified_sum(term, stream, cfg, 0, "exceedance-count series")[0]
 
 
 def sample_q(
@@ -312,8 +296,8 @@ def sample_q(
     """One draw of the mixing scale Q of the limit maximum.
 
     ``method="auto"`` uses the closed shortcuts for the iid and fully
-    dependent modes and the pattern-sum series otherwise; ``"general"``
-    forces the pattern-sum route (bounded progeny only), ``"shortcut"``
+    dependent modes and the exceedance-count series otherwise; ``"general"``
+    forces the exceedance-count route (bounded progeny only), ``"shortcut"``
     forces the closed forms.
     """
     if method not in ("auto", "shortcut", "general"):

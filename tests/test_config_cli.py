@@ -108,6 +108,7 @@ def test_invalid_configs_rejected(tmp_path, capsys):
         {"family": "deterministic", "k": True},
         {"family": "binomial", "m": 3.7, "q": 0.5},
         {"family": "finite", "probs": "01"},
+        {"family": "poisson", "lam": "2.0"},
     ):
         with pytest.raises(ConfigError):
             law_from_dict(law)
@@ -133,6 +134,16 @@ def test_invalid_configs_rejected(tmp_path, capsys):
         ("limit", "w_horizon", 3.5),
         ("limit", "n_limit_samples", 1.5),
         (None, "seed", 2.5),
+        # and every other setting by its type: no quoted numbers, no truthy strings
+        ("comparison", "ks_tolerance", "0.07"),
+        ("comparison", "count_x", "1.0"),
+        ("comparison", "grid", [1.0, "2.0"]),
+        ("simulation", "retain_delta", True),
+        ("simulation", "condition_on_survival", "no"),
+        ("simulation", "condition_on_survival", 1),
+        ("limit", "u_min", "0.2"),
+        ("displacement", "alpha", True),
+        ("environment", "weights", ["1.0"]),
     ]:
         doc = config_to_dict(small_config())
         (doc[block] if block else doc)[key] = value

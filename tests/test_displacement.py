@@ -6,12 +6,12 @@ import pytest
 
 from brwre.displacement import (
     DisplacementModel,
-    Pattern,
     brood_flat,
+    exceedance_masses,
     norming_constant,
-    pattern_mass,
     sample_brood,
 )
+from pattern_oracle import enumerated_masses
 
 
 def test_norming_constant_examples():
@@ -106,87 +106,106 @@ def test_angular_marginal_tail_exact(rng):
             assert abs(emp - pt) < 3 * math.sqrt(pt * (1 - pt) / n) + 1e-9
 
 
-def test_pattern_validation():
+def test_exceedance_masses_validation():
     with pytest.raises(ValueError):
-        Pattern(())
-    with pytest.raises(ValueError):
-        Pattern((0, 2))
-    with pytest.raises(ValueError):
-        pattern_mass(DisplacementModel.iid(2.0, 1.0), Pattern((0, 0)))
+        exceedance_masses(DisplacementModel.iid(2.0, 1.0), 0)
+    with pytest.raises(ValueError, match="exceeds the 2 angular coordinates"):
+        exceedance_masses(DisplacementModel.diagonal_angular(2.0, 2), 3)
 
 
-def test_pattern_mass_iid():
+def test_exceedance_masses_iid():
     model = DisplacementModel.iid(2.0, 0.7)
-    assert pattern_mass(model, Pattern((1, 0))) == 0.7
-    assert pattern_mass(model, Pattern((0, 1))) == 0.7
-    assert pattern_mass(model, Pattern((1, 1))) == 0.0
+    assert exceedance_masses(model, 1).tolist() == [0.7]
+    assert exceedance_masses(model, 3).tolist() == [3 * 0.7, 0.0, 0.0]
 
 
-def test_pattern_mass_full_dep():
+def test_exceedance_masses_full_dep():
     model = DisplacementModel.full_dep(2.0, 0.7)
-    assert pattern_mass(model, Pattern((1, 1))) == 0.7
-    assert pattern_mass(model, Pattern((1, 0))) == 0.0
+    assert exceedance_masses(model, 1).tolist() == [0.7]
+    assert exceedance_masses(model, 3).tolist() == [0.0, 0.0, 0.7]
 
 
-def test_pattern_mass_diagonal_atom():
+def test_exceedance_masses_diagonal_atom():
     model = DisplacementModel.discrete_angular(2.0, [[2 ** -0.5, 2 ** -0.5]], [1.0])
-    assert pattern_mass(model, Pattern((1, 1))) == pytest.approx(1.0, rel=1e-12)
-    assert pattern_mass(model, Pattern((1, 0))) == pytest.approx(0.0, abs=1e-15)
+    masses = exceedance_masses(model, 2)
+    assert masses[1] == pytest.approx(1.0, rel=1e-12)
+    assert masses[0] == 0.0  # tied coordinates exceed together
 
 
 def test_full_dep_as_angular_special_case():
-    for p in (1.0, 0.35):
+    for p in (1.0, 0.35, 0.0):
         k = 3
         angular = DisplacementModel.diagonal_angular(2.0, k, p)
         full = DisplacementModel.full_dep(2.0, p)
         for v in range(1, k + 1):
-            for bits in itertools.product((0, 1), repeat=v):
-                if sum(bits) == 0:
-                    continue
-                assert pattern_mass(angular, Pattern(bits)) == pytest.approx(
-                    pattern_mass(full, Pattern(bits)), abs=1e-12
-                )
+            assert exceedance_masses(angular, v) == pytest.approx(exceedance_masses(full, v), abs=1e-12)
 
 
-def test_pattern_completeness_inclusion_exclusion():
-    model = DisplacementModel.discrete_angular(
-        2.0,
-        [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6], [-(2 ** -0.5), -(2 ** -0.5)]],
-        [1.0, 1.0, 0.5, 0.5, 2.0],
-    )
-    v = 2
-    total = sum(
-        pattern_mass(model, Pattern(bits))
-        for bits in itertools.product((0, 1), repeat=v)
-        if sum(bits) >= 1
-    )
-    # nu(union of single-coordinate exceedances) via inclusion-exclusion
-    w = np.asarray(model.weights)
-    a = model.atom_matrix()
-    union = 0.0
-    for size in range(1, v + 1):
-        for coords in itertools.combinations(range(v), size):
-            inter = w @ np.clip(a[:, coords].min(axis=1), 0.0, None) ** model.alpha
-            union += (-1.0) ** (size + 1) * inter
-    assert total == pytest.approx(float(union), rel=1e-12)
+def _random_angular(rng, k: int) -> DisplacementModel:
+    """Cyclic shifts of a few random rows, so that every coordinate has the
+    same marginal; half the rows draw from a small value set, which gives
+    ties, zeros and negative coordinates."""
+    rows = rng.choice([-0.8, -0.3, 0.0, 0.3, 0.5, 0.8], size=(int(rng.integers(1, 4)), k))
+    if rng.random() < 0.5:
+        rows = rng.normal(size=rows.shape)
+    rows[np.all(rows == 0.0, axis=1), 0] = 1.0
+    atoms = [np.roll(row, s) for row in rows for s in range(k)]
+    weights = rng.uniform(0.2, 2.0, size=len(rows)).repeat(k)
+    return DisplacementModel.discrete_angular(float(rng.choice([0.5, 1.0, 2.0, 3.3])), atoms, weights)
 
 
-def test_angular_empirical_pattern_frequency(rng):
-    model = DisplacementModel.discrete_angular(
-        2.0, [[0.6, 0.8], [0.8, 0.6]], [1.0, 1.0]
-    )
+def test_exceedance_masses_match_pattern_enumeration():
+    rng = np.random.default_rng(16)
+    cases = 0
+    for _ in range(120):
+        model = _random_angular(rng, int(rng.integers(1, 9)))
+        for v in range(1, model.n_coords + 1):
+            want = enumerated_masses(model, v)
+            # the enumeration adds the same terms, in pattern order
+            assert exceedance_masses(model, v) == pytest.approx(want, rel=1e-14, abs=1e-15 * want.sum())
+            cases += 1
+    assert cases > 400
+    for model in (DisplacementModel.iid(1.5, 0.3), DisplacementModel.full_dep(1.5, 0.3)):
+        for v in range(1, 6):
+            assert exceedance_masses(model, v) == pytest.approx(enumerated_masses(model, v), rel=1e-15)
+
+
+def test_exceedance_masses_complete_by_inclusion_exclusion():
+    rng = np.random.default_rng(17)
+    models = [
+        DisplacementModel.discrete_angular(
+            2.0,
+            [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [0.8, 0.6], [-(2 ** -0.5), -(2 ** -0.5)]],
+            [1.0, 1.0, 0.5, 0.5, 2.0],
+        )
+    ] + [_random_angular(rng, 4) for _ in range(20)]
+    for model in models:
+        w = np.asarray(model.weights)
+        a = model.atom_matrix()
+        for v in range(1, model.n_coords + 1):
+            # nu(union of single-coordinate exceedances) via inclusion-exclusion
+            union = 0.0
+            for size in range(1, v + 1):
+                for coords in itertools.combinations(range(v), size):
+                    inter = w @ np.clip(a[:, coords].min(axis=1), 0.0, None) ** model.alpha
+                    union += (-1.0) ** (size + 1) * inter
+            assert exceedance_masses(model, v).sum() == pytest.approx(float(union), rel=1e-12, abs=1e-14)
+
+
+def test_angular_empirical_exceedance_count_frequency(rng):
+    # cyclic shifts of rows with one, two and three positive coordinates
+    rows = [(0.6, -0.8, 0.0), (0.6, 0.8, 0.0), (0.48, 0.6, 0.64)]
+    model = DisplacementModel.discrete_angular(2.0, [np.roll(r, s) for r in rows for s in range(3)], [1.0] * 9)
     n = 1_000_000
-    x = brood_flat(model, np.full(n, 2, dtype=np.int64), rng).reshape(n, 2)
+    x = brood_flat(model, np.full(n, 3, dtype=np.int64), rng).reshape(n, 3)
+    # exact Pareto exceedances above the radial floor
     for u in (10.0, 30.0):
-        for bits in ((1, 0), (0, 1), (1, 1)):
-            target = pattern_mass(model, Pattern(bits))
-            hits = np.ones(n, dtype=bool)
-            for j, b in enumerate(bits):
-                hits &= (x[:, j] > u) if b else (x[:, j] <= u)
-            scaled = hits.mean() * u ** model.alpha
+        assert u >= model.radial_floor
+        counts = np.bincount((x > u).sum(axis=1), minlength=4)[1:]
+        for target, hits in zip(exceedance_masses(model, 3), counts):
             p_hit = target * u ** -model.alpha
             se = u ** model.alpha * math.sqrt(max(p_hit, 1e-12) / n)
-            assert abs(scaled - target) < 3 * se + 1e-6
+            assert abs(hits / n * u ** model.alpha - target) < 3 * se + 1e-6
 
 
 def test_brood_flat_respects_counts(rng):

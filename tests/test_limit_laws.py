@@ -345,13 +345,15 @@ def test_q_general_rejects_unbounded_progeny(rng):
 
 
 def test_q_angular_matches_full_dep_per_sample(rng):
-    angular = DisplacementModel.diagonal_angular(2.0, 3, 0.7)
     full = DisplacementModel.full_dep(2.0, 0.7)
-    env = EnvironmentModel.single(Binomial(3, 0.8))
-    for r in range(25):
-        a = sample_q(angular, env, CFG, np.random.default_rng(r), "general")
-        b = sample_q(full, env, CFG, np.random.default_rng(r), "shortcut")
-        assert abs(a.q - b.q) <= 1e-6 + CFG.series_tol * abs(a.q)
+    # 24 coordinates: 2^24 exceedance patterns, far past any enumeration
+    for k, law in ((3, Binomial(3, 0.8)), (24, Binomial(24, 0.2))):
+        angular = DisplacementModel.diagonal_angular(2.0, k, 0.7)
+        env = EnvironmentModel.single(law)
+        for r in range(25):
+            a = sample_q(angular, env, CFG, np.random.default_rng(r), "general")
+            b = sample_q(full, env, CFG, np.random.default_rng(r), "shortcut")
+            assert abs(a.q - b.q) <= 1e-6 + CFG.series_tol * abs(a.q)
 
 
 # ------------------------------------------------------------------ limit CDFs
@@ -491,6 +493,28 @@ def test_pp_angular_atoms(rng):
     signs = np.asarray(signs)
     frac = (signs > 0).mean()
     assert abs(frac - 0.75) < 3 * math.sqrt(0.75 * 0.25 / signs.size)
+
+
+def test_pp_angular_max_atom_matches_general_q(rng):
+    # the point-process draw (brood vectors over angular atoms) and the
+    # general Q series (exceedance-count masses) are separate code; both give
+    # P(max atom <= x) = E exp(-x^-alpha Q) wherever x is above the floor
+    row = np.array([0.6, -0.8, 0.0])
+    disp = DisplacementModel.discrete_angular(2.0, [np.roll(row, s) for s in range(3)], [1.0] * 3)
+    cfg = LimitConfig(u_min=0.5)
+    grid = (2.0, 3.0, 4.0, 6.0)
+    n, delta = 1500, 1e-3
+    # DKW for the point-process ECDF, Hoeffding over the grid for the Q means
+    tol = math.sqrt(math.log(2 / delta) / (2 * n)) + math.sqrt(math.log(2 * len(grid) / delta) / (2 * n))
+    maxima = np.full(n, -np.inf)
+    for i in range(n):
+        m, scale = sample_limit_point_process(disp, BOUNDED_MIX, cfg, rng)
+        assert scale * cfg.u_min < grid[0]
+        if m.n_atoms:
+            maxima[i] = m.locations.max()
+    qs = [sample_q(disp, BOUNDED_MIX, cfg, rng, "general") for _ in range(n)]
+    for x in grid:
+        assert abs((maxima <= x).mean() - limit_max_cdf(qs, x, disp.alpha)) < tol
 
 
 def test_pp_angular_refuses_broods_wider_than_coordinates():

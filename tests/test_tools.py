@@ -60,7 +60,7 @@ def test_bench_record_pairs_seeds_and_applies_gain_rule(tmp_path):
 def test_output_digests_derives_uncovered_scenarios(tmp_path):
     paths = _load_tool("output_digests").derived_configs(str(tmp_path))
     cfgs = [load_config(path) for path in paths]
-    assert sorted(cfg.displacement.mode for cfg in cfgs) == ["discrete_angular", "full_dep", "iid", "iid", "iid"]
+    assert sorted(cfg.displacement.mode for cfg in cfgs) == ["discrete_angular", "discrete_angular", "full_dep", "iid", "iid", "iid"]
     # without survival conditioning extinct replications write NaN fields and no atoms
     assert any(not cfg.simulation.condition_on_survival for cfg in cfgs)
     assert any(isinstance(law, Finite) for cfg in cfgs for law in cfg.environment.support)

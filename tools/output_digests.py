@@ -59,20 +59,29 @@ def derived_configs(directory: str) -> list:
     Both shipped configs are iid with no finite-support environment and no
     law of mean <= 1, and both condition on survival, so the binary config is
     rewritten (through ``config_to_dict``) with fully dependent
-    displacements, with a two-coordinate angular model, with a {finite,
-    binomial, geometric} environment, and with {Poisson(0.9) w.p. 0.2,
-    Poisson(4) w.p. 0.8} at n = 8, whose series stop on the annealed tail
-    rule; and the mixture config is rewritten without survival conditioning,
-    so that extinct replications write NaN summary fields and no atom rows.
+    displacements, with a two-coordinate diagonal angular model, with the
+    three cyclic shifts of (0.6, -0.8, 0) as angular atoms under
+    {Binomial(3, 0.8), finite} (off the diagonal, so an exceedance-count mass
+    sums the terms of several atoms), with a {finite, binomial, geometric}
+    environment, and with {Poisson(0.9) w.p. 0.2, Poisson(4) w.p. 0.8} at
+    n = 8, whose series stop on the annealed tail rule; and the mixture
+    config is rewritten without survival conditioning, so that extinct
+    replications write NaN summary fields and no atom rows.
     Returns the YAML paths.
     """
     base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
     poisson_mix = load_config(os.path.join(ROOT, "configs", "mixture_poisson.yaml"))
     mixture = EnvironmentModel((Finite((0.2, 0.3, 0.5)), Binomial(3, 0.8), Geometric(0.6)), (0.3, 0.4, 0.3))
     annealed = EnvironmentModel((Poisson(0.9), Poisson(4.0)), (0.2, 0.8))
+    cyclic = DisplacementModel.discrete_angular(2.0, [[0.6, -0.8, 0.0], [0.0, 0.6, -0.8], [-0.8, 0.0, 0.6]], [1.0] * 3)
     scenarios = {
         "binary_full_dep": dataclasses.replace(base, displacement=DisplacementModel.full_dep(2.0, 0.5)),
         "binary_angular": dataclasses.replace(base, displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)),
+        "binary_angular_cyclic": dataclasses.replace(
+            base,
+            displacement=cyclic,
+            environment=EnvironmentModel((Binomial(3, 0.8), Finite((0.2, 0.3, 0.5))), (0.5, 0.5)),
+        ),
         "binary_finite_mixture": dataclasses.replace(base, environment=mixture),
         "binary_annealed": dataclasses.replace(
             base, environment=annealed, simulation=dataclasses.replace(base.simulation, n=(8,))
