@@ -4,7 +4,7 @@ Every output file starts with a comment line carrying the config hash and
 seed.  CSV byte format: that meta line ends in LF, the header and every row
 end in CRLF; integer and boolean fields are written with ``%d``, floats with
 ``%.17g`` (17 significant digits, so doubles round-trip) and NaN as ``nan``.
-Every CSV goes through the column writer :func:`brwre.csv_writer.write_csv`.
+Every CSV goes through the column writer :func:`brwre.csv_writer.write_blocks`.
 Exit codes: 0 success (and comparison PASS), 1 comparison FAIL, 2 bad
 configuration, 3 runtime failure (reported as a JSON record on stdout).
 """
@@ -22,19 +22,21 @@ import numpy as np
 
 from . import brw, limit_laws, stats
 from .config import ExperimentConfig, config_hash, load_config
-from .csv_writer import write_csv
+from .csv_writer import write_blocks, write_csv
 from .errors import BrwreError, ConfigError, NoSurvivingReplication
 from .limit_laws import EnvStream, QSample
 
 
 def _write_atoms(path: str, index_name: str, measures, meta: str) -> None:
-    """One ``(index, location, multiplicity)`` row per atom, indexing ``measures``."""
-    columns = [
-        np.repeat(np.arange(len(measures)), [m.n_atoms for m in measures]),
-        np.concatenate([m.locations for m in measures]),
-        np.concatenate([m.multiplicities for m in measures]),
-    ]
-    write_csv(path, [index_name, "location", "multiplicity"], columns, meta)
+    """One ``(index, location, multiplicity)`` row per atom, indexing ``measures``.
+
+    The measures are fed to the writer one at a time, with the index as a
+    broadcast view, so no column longer than one block is built."""
+    blocks = (
+        (np.broadcast_to(np.int64(i), m.locations.shape), m.locations, m.multiplicities)
+        for i, m in enumerate(measures)
+    )
+    write_blocks(path, [index_name, "location", "multiplicity"], blocks, meta)
 
 
 def _meta_line(cfg: ExperimentConfig) -> str:

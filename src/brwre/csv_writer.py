@@ -3,7 +3,7 @@
 Byte format: the meta line ends in LF, the header and every row end in CRLF;
 integer and boolean columns are written with ``%d``, float columns with
 ``%.17g`` (17 significant digits, so doubles round-trip) and NaN as ``nan``.
-:func:`write_csv` formats blocks of at most ``BLOCK_ROWS`` rows in numpy: the
+:func:`write_blocks` formats blocks of ``BLOCK_ROWS`` rows in numpy: the
 ``%.17g`` digits of floats with 1e-4 <= |x| < 1e17 are computed exactly from
 a double-double product (Dekker, "A floating-point technique for extending
 the available precision", Numer. Math. 1971) and rounded half to even, the
@@ -13,7 +13,7 @@ formatted by ``%`` itself.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterable, List
 
 import numpy as np
 
@@ -157,8 +157,41 @@ def format_rows(columns) -> bytes:
 def write_csv(path: str, header: List[str], columns, meta: str) -> None:
     """Write the ``meta`` line, the ``header`` and one row per entry of the
     equal-length 1-D ``columns``, formatted in blocks of ``BLOCK_ROWS`` rows."""
-    columns = [np.asarray(c) for c in columns]
+    write_blocks(path, header, [columns], meta)
+
+
+def write_blocks(path: str, header: List[str], blocks: Iterable, meta: str) -> None:
+    """Write the ``meta`` line, the ``header`` and the rows of ``blocks``, an
+    iterable of column blocks (each a sequence of equal-length 1-D columns,
+    with the same column types in every block), in order.
+
+    The rows are regrouped into formatted blocks of ``BLOCK_ROWS`` rows, so
+    the bytes and the formatting calls do not depend on how ``blocks`` splits
+    them, and only one formatted block's rows are held at a time.
+    """
     with open(path, "wb") as fh:
         fh.write(f"{meta}\n{','.join(header)}\r\n".encode())
-        for lo in range(0, len(columns[0]), BLOCK_ROWS):
-            fh.write(format_rows([c[lo : lo + BLOCK_ROWS] for c in columns]))
+        for block in _regrouped(blocks):
+            fh.write(format_rows(block))
+
+
+def _regrouped(blocks):
+    """The rows of ``blocks`` in blocks of ``BLOCK_ROWS`` rows, the last one shorter."""
+    pending, rows = [], 0  # column pieces of the block being filled
+    for block in blocks:
+        block = [np.asarray(c) for c in block]
+        size, start = len(block[0]), 0
+        while size - start >= BLOCK_ROWS - rows:
+            stop = start + BLOCK_ROWS - rows
+            pending.append([c[start:stop] for c in block])
+            yield _joined(pending)
+            pending, rows, start = [], 0, stop
+        if start < size:
+            pending.append([c[start:] for c in block])
+            rows += size - start
+    if rows:
+        yield _joined(pending)
+
+
+def _joined(pieces):
+    return pieces[0] if len(pieces) == 1 else [np.concatenate(c) for c in zip(*pieces)]

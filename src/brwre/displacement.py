@@ -180,23 +180,34 @@ def _apply_signs(mags: np.ndarray, p: float, rng) -> np.ndarray:
     return mags
 
 
-def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
+def brood_flat(model: DisplacementModel, counts: np.ndarray, rng, second=None) -> np.ndarray:
     """Displacements for all children of one generation, parent by parent.
 
     ``counts[i]`` children for parent i; the result is flat, ordered by parent
     then within-brood rank.  The rng consumption order is part of the
     replay/oracle contract: counts first (by the caller), then one batched
-    magnitude draw, then one batched sign draw where applicable.  The result
-    is a fresh array that no one else references, so the caller may
-    overwrite it (the simulator writes |x| into it).
+    draw of :func:`first_batch_size` uniforms (iid magnitudes; full_dep
+    magnitudes; angular atoms), then, where applicable, one batched draw of
+    the same size (iid or full_dep signs; angular radii).  The second batch
+    comes from ``second``, which defaults to ``rng``.
+
+    Chunking keeps that contract: consecutive ``Generator.random`` calls
+    return the values of one batched call, so a generation drawn brood-aligned
+    chunk by chunk, with ``rng`` for every first batch and for every second
+    batch a ``second`` generator that starts :func:`first_batch_size` uniforms
+    of the whole generation past ``rng``, gets the values of one call.
+
+    The result is a fresh array that no one else references, so the caller
+    may overwrite it (the simulator writes |x| into it).
     """
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     inv_alpha = 1.0 / model.alpha
+    second = rng if second is None else second
     if model.mode == "iid":
-        return _apply_signs(_pareto_magnitudes(total, inv_alpha, rng), model.p, rng)
+        return _apply_signs(_pareto_magnitudes(total, inv_alpha, rng), model.p, second)
     if model.mode == "full_dep":
-        vals = _apply_signs(_pareto_magnitudes(counts.size, inv_alpha, rng), model.p, rng)
+        vals = _apply_signs(_pareto_magnitudes(counts.size, inv_alpha, rng), model.p, second)
         return np.repeat(vals, counts)
     # discrete_angular
     k = model.n_coords
@@ -205,12 +216,22 @@ def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
             f"brood of size {int(counts.max())} exceeds the {k} angular coordinates"
         )
     atom_idx = model.draw_atoms(rng, counts.size)
-    radii = model.radial_floor * _pareto_magnitudes(counts.size, inv_alpha, rng)
+    radii = model.radial_floor * _pareto_magnitudes(counts.size, inv_alpha, second)
     parent = np.repeat(np.arange(counts.size), counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     rank = np.arange(total) - np.repeat(starts, counts)
     atoms = model.atom_matrix()
     return radii[parent] * atoms[atom_idx[parent], rank]
+
+
+def first_batch_size(model: DisplacementModel, n_parents: int, n_children: int) -> int:
+    """Uniforms :func:`brood_flat` draws before its second batch, or 0 when it
+    draws one batch only (iid or full_dep with p = 0 or p = 1)."""
+    if model.mode == "discrete_angular":
+        return n_parents
+    if not 0.0 < model.p < 1.0:
+        return 0
+    return n_children if model.mode == "iid" else n_parents
 
 
 def sample_brood(model: DisplacementModel, v: int, rng) -> np.ndarray:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from brwre import brw
 from brwre.brw import (
     SimConfig,
     diagnostics_report,
@@ -269,6 +270,121 @@ def test_peak_memory_per_leaf():
             tracemalloc.stop()
         assert outcome.z[-1] > 100_000
         assert peak / outcome.z[-1] < bound, (track, peak / outcome.z[-1])
+
+
+def test_peak_memory_per_leaf_in_small_chunks(monkeypatch):
+    # with chunks of 2^12 leaves the peak is set by the leaves' parents (their
+    # positions, counts and count draw) and the retained atoms: it read 24.5 /
+    # 16.8 bytes a leaf (tracking on / off), and 35.6 / 29.0 with the leaf
+    # generation held whole
+    monkeypatch.setattr(brw, "LEAF_CHUNK", 1 << 12)
+    cfg = SimConfig(n=14, env=MIXTURE, disp=IID21, retain_delta=0.1, seed=5)
+    for track, bound in ((True, 28.0), (False, 20.0)):
+        run = dataclasses.replace(cfg, track_argmax_jump=track)
+        rng = replication_rng(5, 0)
+        tracemalloc.start()
+        try:
+            outcome = simulate(run, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.z[-1] > 50 * brw.LEAF_CHUNK
+        assert peak / outcome.z[-1] < bound, (track, peak / outcome.z[-1])
+
+
+def test_chunk_bounds_keep_broods_whole():
+    counts = np.array([3, 0, 0, 4, 0, 9, 0, 0])
+    ends = np.cumsum(counts)
+    # the second chunk starts with childless parents, the last one ends with
+    # them, and its brood of 9 is larger than the chunk
+    assert brw._chunk_bounds(ends, 3) == [0, 1, 4, 8]
+    assert brw._chunk_bounds(ends, 16) == [0, 8]
+    rng = np.random.default_rng(8)
+    for chunk in (1, 2, 7, 50):
+        counts = rng.poisson(1.5, 300)
+        ends = np.cumsum(counts)
+        bounds = brw._chunk_bounds(ends, chunk)
+        sizes = [int(counts[a:b].sum()) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert bounds[0] == 0 and bounds[-1] == counts.size
+        assert min(sizes) > 0 and sum(sizes) == counts.sum()
+        # each chunk but the last ends with the brood that reaches a multiple of the chunk
+        assert all(ends[b - 1] // chunk > (ends[b - 1] - counts[b - 1]) // chunk for b in bounds[1:-1])
+
+
+def test_first_argmax_across_chunks(monkeypatch):
+    # unit displacements make the leaves of parents 0 and 2 tie for the
+    # maximum in different chunks: the first one's path is reported
+    monkeypatch.setattr(brw, "LEAF_CHUNK", 2)
+    monkeypatch.setattr(brw, "brood_flat", lambda model, counts, rng, second=None: np.ones(int(counts.sum())))
+    cfg = SimConfig(n=3, env=BINARY, disp=IID21, seed=0)
+    best = (np.array([2.0, 0.5, 3.0]), np.array([1, 2, 2], dtype=np.int16))
+    atoms, top, bottom, diags = brw._reduce_leaves(
+        cfg, 1.0, np.array([2, 2, 2]), np.array([5.0, 1.0, 5.0]), np.zeros(3, dtype=np.int16),
+        best, np.zeros(4, dtype=np.int64), np.random.default_rng(0),
+    )
+    assert diags.max_leaf_jump_gen == 1
+    assert top.tolist() == [6.0, 6.0] and bottom.tolist() == [2.0, 2.0]
+    assert atoms.locations.tolist() == [2.0, 6.0] and atoms.multiplicities.tolist() == [2, 4]
+
+
+CHUNKED_MODELS = [
+    (DisplacementModel.iid(2.0, 1.0), MIXTURE),
+    (DisplacementModel.iid(1.5, 0.4), MIXTURE),
+    (DisplacementModel.iid(2.0, 0.0), EnvironmentModel.single(Geometric(0.6))),
+    (DisplacementModel.full_dep(2.0, 0.5), MIXTURE),
+    (DisplacementModel.diagonal_angular(2.0, 3, 0.5), EnvironmentModel.single(Binomial(3, 0.8))),
+    (
+        DisplacementModel.discrete_angular(2.0, [[0.6, -0.8, 0.0], [0.0, 0.6, -0.8], [-0.8, 0.0, 0.6]], [1.0] * 3),
+        EnvironmentModel((Binomial(3, 0.8), Finite((0.2, 0.3, 0.5))), (0.5, 0.5)),
+    ),
+]
+
+
+@pytest.mark.parametrize("disp, env", CHUNKED_MODELS, ids=lambda v: getattr(v, "mode", ""))
+@pytest.mark.parametrize("chunk", [7, 1])
+def test_chunked_leaves_equal_naive(disp, env, chunk, monkeypatch):
+    # every replication crosses many chunk edges, chunk 1 cuts after every
+    # brood, and broods of two or more are larger than it
+    monkeypatch.setattr(brw, "LEAF_CHUNK", chunk)
+    seconds = []
+
+    def traced_brood_flat(model, counts, rng, second=None):
+        seconds.append(second is not None)
+        return brood_flat(model, counts, rng, second)
+
+    monkeypatch.setattr(brw, "brood_flat", traced_brood_flat)
+    for n, track in ((6, True), (5, False), (1, True)):
+        cfg = SimConfig(n=n, env=env, disp=disp, jump_eta=0.2, seed=13, track_argmax_jump=track)
+        for r in range(4):
+            fast_rng, slow_rng = replication_rng(13, r), replication_rng(13, r)
+            fast, slow = simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng)
+            assert outcomes_equal(fast, slow), (n, track, r)
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    # a few dozen calls draw inner generations, the rest leaf chunks; a model
+    # with a second batch draws it from the skipped-ahead generator
+    assert len(seconds) > 100
+    assert any(seconds) == (0.0 < disp.p < 1.0 or disp.mode == "discrete_angular")
+
+
+def test_chunked_stream_ends_where_the_batched_draws_leave_it(monkeypatch):
+    # survival restarts draw new environments and trees from the same stream
+    monkeypatch.setattr(brw, "LEAF_CHUNK", 7)
+    for disp in (IID21, DisplacementModel.iid(2.0, 0.4), DisplacementModel.full_dep(2.0, 0.5)):
+        cfg = SimConfig(n=4, env=EnvironmentModel.single(Poisson(1.2)), disp=disp, seed=3)
+        restarts = 0
+        for r in range(20):
+            fast_rng, slow_rng = replication_rng(3, r), replication_rng(3, r)
+            fast, slow = simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng)
+            assert outcomes_equal(fast, slow)
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+            restarts += fast.restarts
+        assert restarts > 0
+    # a generator without a skip-ahead draws the leaf generation in one chunk
+    cfg = SimConfig(n=5, env=MIXTURE, disp=DisplacementModel.iid(2.0, 0.4), seed=3)
+    fast_rng, slow_rng = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
+    assert outcomes_equal(simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng))
+    fast_state, slow_state = (g.bit_generator.state["state"] for g in (fast_rng, slow_rng))
+    assert fast_state["pos"] == slow_state["pos"] and np.array_equal(fast_state["key"], slow_state["key"])
 
 
 def test_threaded_replications_match_serial():

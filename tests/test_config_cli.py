@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,6 +363,32 @@ def test_row_writer_matches_csv_oracle(tmp_path):
     assert path.read_bytes() == oracle_csv(header, oracle_atom_rows(measures), meta)
     cli._write_atoms(str(path), "rep", [PointMeasure.empty()], meta)
     assert path.read_bytes() == oracle_csv(header, [], meta)
+
+
+def test_atom_writer_holds_one_block(tmp_path, monkeypatch):
+    # the measures exist before tracing starts; the writer adds one block of
+    # 2^13 atom rows (1.1 MiB here), where concatenating the 400 000 rows of
+    # 200 measures before the first block took 10 MiB
+    calls = []
+    format_rows = csv_writer.format_rows
+    monkeypatch.setattr(csv_writer, "format_rows", lambda block: calls.append(len(block[0])) or format_rows(block))
+    rng = np.random.default_rng(3)
+    path = tmp_path / "atoms.csv"
+    peaks = []
+    for n_measures in (20, 200):
+        measures = [PointMeasure.from_locations(rng.random(2000) + 1.0) for _ in range(n_measures)]
+        calls.clear()
+        tracemalloc.start()
+        try:
+            cli._write_atoms(str(path), "rep", measures, "# m")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = 2000 * n_measures
+        # full blocks whatever the measures' sizes, so no extra formatting calls
+        assert calls == [csv_writer.BLOCK_ROWS] * (rows // csv_writer.BLOCK_ROWS) + [rows % csv_writer.BLOCK_ROWS]
+        assert path.read_bytes().count(b"\r\n") == rows + 1
+    assert peaks[1] < 2 * 2**20 and peaks[1] < peaks[0] + 2**18, peaks
 
 
 def _formatted(column) -> list:

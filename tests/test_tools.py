@@ -3,8 +3,9 @@ import importlib.util
 import json
 import os
 
+from brwre import brw
 from brwre.config import SimSettings, dump_config, load_config
-from brwre.offspring import Finite
+from brwre.offspring import Deterministic, Finite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -60,7 +61,15 @@ def test_bench_record_pairs_seeds_and_applies_gain_rule(tmp_path):
 def test_output_digests_derives_uncovered_scenarios(tmp_path):
     paths = _load_tool("output_digests").derived_configs(str(tmp_path))
     cfgs = [load_config(path) for path in paths]
-    assert sorted(cfg.displacement.mode for cfg in cfgs) == ["discrete_angular", "discrete_angular", "full_dep", "iid", "iid", "iid"]
+    assert sorted(cfg.displacement.mode for cfg in cfgs) == [
+        "discrete_angular", "discrete_angular", "discrete_angular", "full_dep", "full_dep", "iid", "iid", "iid", "iid",
+    ]
+    # binary trees of 2^18 leaves fill two simulator chunks, each of which
+    # draws a second batch (p < 1 or angular), in every mode
+    wide = [cfg for cfg in cfgs if cfg.simulation.n == (18,)]
+    assert 2**18 >= 2 * brw.LEAF_CHUNK
+    assert sorted(cfg.displacement.mode for cfg in wide) == ["discrete_angular", "full_dep", "iid"]
+    assert all(cfg.environment.support == (Deterministic(2),) and 0.0 < cfg.displacement.p < 1.0 for cfg in wide)
     # without survival conditioning extinct replications write NaN fields and no atoms
     assert any(not cfg.simulation.condition_on_survival for cfg in cfgs)
     assert any(isinstance(law, Finite) for cfg in cfgs for law in cfg.environment.support)

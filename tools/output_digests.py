@@ -64,9 +64,13 @@ def derived_configs(directory: str) -> list:
     {Binomial(3, 0.8), finite} (off the diagonal, so an exceedance-count mass
     sums the terms of several atoms), with a {finite, binomial, geometric}
     environment, and with {Poisson(0.9) w.p. 0.2, Poisson(4) w.p. 0.8} at
-    n = 8, whose series stop on the annealed tail rule; and the mixture
-    config is rewritten without survival conditioning, so that extinct
-    replications write NaN summary fields and no atom rows.
+    n = 8, whose series stop on the annealed tail rule; the mixture config is
+    rewritten without survival conditioning, so that extinct replications
+    write NaN summary fields and no atom rows; and the binary config is run
+    at n = 18 with iid, fully dependent and diagonal angular displacements,
+    all with p = 1/2: its 2^18 leaves span two chunks of the streaming
+    simulator (``brw.LEAF_CHUNK``), whose second batches (signs, radii) come
+    from a generator started ahead of the first.
     Returns the YAML paths.
     """
     base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
@@ -74,6 +78,7 @@ def derived_configs(directory: str) -> list:
     mixture = EnvironmentModel((Finite((0.2, 0.3, 0.5)), Binomial(3, 0.8), Geometric(0.6)), (0.3, 0.4, 0.3))
     annealed = EnvironmentModel((Poisson(0.9), Poisson(4.0)), (0.2, 0.8))
     cyclic = DisplacementModel.discrete_angular(2.0, [[0.6, -0.8, 0.0], [0.0, 0.6, -0.8], [-0.8, 0.0, 0.6]], [1.0] * 3)
+    n18 = dataclasses.replace(base, simulation=dataclasses.replace(base.simulation, n=(18,)))
     scenarios = {
         "binary_full_dep": dataclasses.replace(base, displacement=DisplacementModel.full_dep(2.0, 0.5)),
         "binary_angular": dataclasses.replace(base, displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)),
@@ -86,6 +91,9 @@ def derived_configs(directory: str) -> list:
         "binary_annealed": dataclasses.replace(
             base, environment=annealed, simulation=dataclasses.replace(base.simulation, n=(8,))
         ),
+        "binary_n18_iid": n18,
+        "binary_n18_full_dep": dataclasses.replace(n18, displacement=DisplacementModel.full_dep(2.0, 0.5)),
+        "binary_n18_angular": dataclasses.replace(n18, displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)),
         "mixture_unconditioned": dataclasses.replace(
             poisson_mix, simulation=dataclasses.replace(poisson_mix.simulation, condition_on_survival=False)
         ),
