@@ -116,22 +116,32 @@ _Q_STREAM = 0xA5A50001
 _PP_STREAM = 0xA5A50002
 
 
+# Most limit draws one sampler call makes: larger counts go block by block.
+_BLOCK = 2 ** 12
+
+
+def _blocks(size: int):
+    return (min(_BLOCK, size - start) for start in range(0, size, _BLOCK))
+
+
 def _draw_q_samples(cfg: ExperimentConfig, size: int) -> List[QSample]:
     rng = brw.replication_rng(cfg.seed, _Q_STREAM)
-    return [
-        limit_laws.sample_q(cfg.displacement, cfg.environment, cfg.limit, rng)
-        for _ in range(size)
-    ]
+    draws = []
+    for block in _blocks(size):
+        draws += limit_laws.sample_q(cfg.displacement, cfg.environment, cfg.limit, rng, size=block)
+    return draws
 
 
 def _draw_pp(cfg: ExperimentConfig, size: int):
     rng = brw.replication_rng(cfg.seed, _PP_STREAM)
-    draws, scales = [], np.empty(size)
-    for i in range(size):
-        m, s = limit_laws.sample_limit_point_process(cfg.displacement, cfg.environment, cfg.limit, rng)
-        draws.append(m)
-        scales[i] = s
-    return draws, scales
+    draws, scales = [], []
+    for block in _blocks(size):
+        m, s = limit_laws.sample_limit_point_process(
+            cfg.displacement, cfg.environment, cfg.limit, rng, size=block
+        )
+        draws += m
+        scales.append(s)
+    return draws, np.concatenate(scales)
 
 
 def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
@@ -157,7 +167,12 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     constants = {}
     for kind in limit_laws.SERIES_KINDS:
         sv = limit_laws.cluster_norm_series(kind, stream, cfg.limit)
-        constants[kind] = dataclasses.asdict(sv)
+        constants[kind] = {
+            "value": float(sv.value[0]),
+            "tail_bound": float(sv.tail_bound[0]),
+            "terms_used": sv.terms_used,
+            "certified": sv.certified,
+        }
     doc = {"note": "quenched values for one realized environment draw", "constants": constants}
     _write_json(cfg, "constants.json", doc)
     for kind, doc in constants.items():

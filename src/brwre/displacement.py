@@ -175,8 +175,7 @@ def _apply_signs(mags: np.ndarray, p: float, rng) -> np.ndarray:
     if p <= 0.0:
         np.negative(mags, out=mags)
         return mags
-    neg = rng.random(mags.size) >= p
-    mags[neg] *= -1.0
+    np.negative(mags, out=mags, where=rng.random(mags.size) >= p)
     return mags
 
 

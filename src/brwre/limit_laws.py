@@ -1,19 +1,31 @@
 """Samplers and evaluators for the limit objects of the extremal picture.
 
-Everything quenched lives on an :class:`EnvStream`: a lazily realized i.i.d.
-environment with cached mean products and extinction probabilities, both
-indexed so that entry i describes the population grown for i generations with
-the newest drawn law at the root.  :meth:`ClusterSampler.single_descendant_prob`
-takes P(Z_i = 1) along the same order by the chain rule
+Every sampler draws a block of independent draws at once; ``size=None``
+asks for one draw, a block of one.  Everything quenched lives on an
+:class:`EnvStream`: a block of i.i.d. environments, one per row, whose law
+indices fill one matrix row by row.  The mean products come from a
+``cumprod`` over the law means and the extinction probabilities from one
+array pgf step per generation and law, indexed so that entry i of a row
+describes the population grown for i generations with the newest drawn law
+at the root.  :meth:`ClusterSampler.single_descendant_prob` takes
+P(Z_i = 1) along the same order by the chain rule
 (:func:`brwre.offspring.compose_generation`).
 
-The normalizing series are summed by one loop with one tail rule read from
-the model (:func:`brwre.environment.series_tail`: certified for every stream,
-or in expectation); the cluster samplers draw a generation index from the
-series terms by one search of a cut-point table
-(:func:`brwre.offspring.cut_points`).  One count-level population walk serves
-both the martingale limit W (frozen once Z reaches 10^12) and every cluster
-size (stopped past 10^14).
+Stream contract: a block grows some of its rows to a common width in one
+step, with one uniform per missing generation drawn in row-major order, so a
+fresh block grown to width T reads ``model.draw_indices(rng, (B, T))``.  The
+normalizing series are summed by one loop over (rows, terms) arrays with one
+tail rule read from the model (:func:`brwre.environment.series_tail`:
+certified for every stream, or in expectation); it grows the rows whose
+tail is not yet met by ``_GROW`` generations at a time, and stops each row
+at its own first certified term.  The cluster samplers draw a generation
+index from each row's series terms by one search of that row's cut points.
+One count-level population walk over the rows of a law-index matrix serves
+the martingale limit W (frozen once Z reaches 10^12, on one fresh
+``(rows, w_horizon)`` matrix per round), every cluster size and every
+brood-vector member (stopped past 10^14).  Survival restarts and rejections
+redo only the rows they did not accept, round after round through
+:func:`brwre.errors.first_accepted`.
 
 The general route of the mixing scale Q reads the tail measure only through
 the exceedance-count masses of :func:`brwre.displacement.exceedance_masses`:
@@ -29,16 +41,19 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .displacement import DisplacementModel, exceedance_masses
-from .environment import EnvironmentModel, sample_env, series_tail
+from .environment import EnvironmentModel, series_tail
 from .errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode, first_accepted
 from .measures import PointMeasure
-from .offspring import compose_generation, cut_points
+from .offspring import compose_generation
 
 # Population walks for W stop once Z reaches this: the martingale value is
 # frozen to ~1e-6 relative accuracy and its conditional mean kept exactly.
 _FREEZE_POPULATION = 1_000_000_000_000
 # Cluster-size walks stop past 10^14, before the count samplers overflow.
 _SIZE_STOP = 10 ** 14 + 1
+# Generations a series realizes at a time on each row whose tail is not yet
+# met: one step covers both shipped configs (at most 30 terms).
+_GROW = 32
 
 
 @dataclass(frozen=True)
@@ -60,10 +75,18 @@ class LimitConfig:
 
 @dataclass
 class SeriesValue:
-    value: float
-    tail_bound: float
-    terms_used: int
+    """A quenched series on every row of a block: per row its value, the
+    bound on its tail and the number of terms it summed."""
+
+    value: np.ndarray
+    tail_bound: np.ndarray
+    row_terms: np.ndarray
     certified: str  # "deterministic" (every stream) or "annealed" (in expectation)
+
+    @property
+    def terms_used(self) -> int:
+        """The terms summed over all rows."""
+        return int(self.row_terms.sum())
 
 
 @dataclass
@@ -80,67 +103,148 @@ class QSample:
     c_value: float
 
 
-class EnvStream:
-    """A lazily drawn independent environment with cached quenched data."""
+def _in_rounds(attempt, n: int, what: str) -> None:
+    """Call ``attempt(rows)`` on the rows 0..n-1, then again on the rows it
+    did not accept (it returns the accepted mask), one round per attempt of
+    :func:`first_accepted`, which gives up naming ``what``.  After a round
+    that accepted none, only the first rejected row is redone until one is
+    accepted: a block whose draws are never accepted gives up at the cost of
+    one draw, not of every row."""
+    todo, wide = np.arange(n), True
 
-    def __init__(self, model: EnvironmentModel, rng):
+    def one_round(_) -> Optional[bool]:
+        nonlocal todo, wide
+        rows = todo if wide else todo[:1]
+        accepted = attempt(rows)
+        wide = np.count_nonzero(accepted) > 0
+        if wide:
+            todo = np.concatenate((rows[~accepted], todo[rows.size :]))
+        return None if todo.size else True
+
+    if n:
+        first_accepted(one_round, what)
+
+
+def _totals(law, rng, z: np.ndarray) -> np.ndarray:
+    """One generation's total progeny of the populations ``z`` under ``law``;
+    a lone population takes the scalar draw, which reads the same uniforms
+    without the parameter checks of numpy's array draws (about 10 µs)."""
+    return np.array([law.sample_total(rng, int(z[0]))]) if z.size == 1 else law.sample_total(rng, z)
+
+
+def _population_walk(support, laws: np.ndarray, stop: int, rng, lengths=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Count-level Z of each row of the law-index matrix ``laws``, one
+    generation per column, root first, over ``lengths[r]`` columns of row r
+    (every column by default); a row stops early once Z is 0 or reaches
+    ``stop``.  Returns Z and the generations each row walked."""
+    n, width = laws.shape
+    z = np.ones(n, dtype=np.int64)
+    walked = np.full(n, width, dtype=np.intp) if lengths is None else np.array(lengths, dtype=np.intp)
+    live = np.arange(n) if lengths is None else np.flatnonzero(walked)
+    for g in range(width):
+        if not live.size:
+            break
+        zl = z[live]
+        if len(support) == 1:
+            zl = _totals(support[0], rng, zl)
+        else:
+            col = laws[live, g]
+            for k, law in enumerate(support):
+                sel = col == k
+                zl[sel] = _totals(law, rng, zl[sel])
+        z[live] = zl
+        keep = (zl > 0) & (zl < stop)
+        if lengths is not None:
+            keep &= walked[live] > g + 1
+        if np.count_nonzero(keep) < live.size:
+            walked[live[~keep]] = g + 1
+            live = live[keep]
+    return z, walked
+
+
+def _widen(a: np.ndarray, cols: int, fill) -> np.ndarray:
+    """``a`` with columns of ``fill`` appended up to ``cols``."""
+    out = np.full((a.shape[0], cols), fill, dtype=a.dtype)
+    out[:, : a.shape[1]] = a
+    return out
+
+
+class EnvStream:
+    """A block of independent environments, one per row, realized lazily.
+
+    For row b, ``indices[b, j]`` is the law index of generation j for
+    j < ``length[b]``, and ``pi[b, i]`` (the product of the first i means)
+    and ``extinct[b, i]`` (P(Z_i = 0), newest law at the root) hold for
+    i <= ``length[b]``.  ``size=None`` makes a block of one.
+    """
+
+    def __init__(self, model: EnvironmentModel, rng, size: Optional[int] = None):
         self.model = model
         self._rng = rng
-        self._indices: List[int] = []
-        self._pi: List[float] = [1.0]
-        self._extinct: List[float] = [0.0]
+        rows = 1 if size is None else int(size)
+        self.length = np.zeros(rows, dtype=np.intp)
+        self.indices = np.zeros((rows, 0), dtype=np.intp)
+        self.pi = np.ones((rows, 1))
+        self.extinct = np.zeros((rows, 1))
 
-    def _extend(self, i: int) -> None:
-        while len(self._indices) <= i:
-            k = int(self.model.draw_indices(self._rng))
-            law = self.model.support[k]
-            self._indices.append(k)
-            self._pi.append(self._pi[-1] * law.mean())
-            self._extinct.append(law.pgf(self._extinct[-1]))
+    @property
+    def rows(self) -> int:
+        return self.length.size
 
-    def law(self, i: int):
-        self._extend(i)
-        return self.model.support[self._indices[i]]
+    def grow(self, rows: np.ndarray, width: int) -> None:
+        """Realize generations up to ``width`` on each of ``rows`` (increasing):
+        one uniform per missing generation, drawn in row-major order."""
+        rows = rows[self.length[rows] < width]
+        if not rows.size:
+            return
+        if width > self.indices.shape[1]:
+            self.indices = _widen(self.indices, width, 0)
+            self.pi = _widen(self.pi, width + 1, 1.0)
+            self.extinct = _widen(self.extinct, width + 1, 0.0)
+        start = int(self.length[rows].min())
+        idx = self.indices[rows, :width]
+        missing = np.arange(start, width) >= self.length[rows, None]
+        idx[:, start:][missing] = self.model.draw_indices(self._rng, int(missing.sum()))
+        self.indices[rows, :width] = idx
+        self.length[rows] = width
+        self.pi[rows, 1 : width + 1] = np.cumprod(self.model._means[idx], axis=1)
+        support, each = self.model.support, np.arange(rows.size)
+        extinct = np.empty((rows.size, width - start))
+        e = self.extinct[rows, start]
+        for j in range(start, width):
+            if len(support) == 1:
+                e = support[0].pgf(e)
+            else:
+                e = np.stack([law.pgf(e) for law in support])[idx[:, j], each]
+            extinct[:, j - start] = e
+        self.extinct[rows, start + 1 : width + 1] = extinct
 
-    def pi(self, i: int) -> float:
-        """Expected size after i generations (product of the first i means)."""
-        self._extend(i - 1)
-        return self._pi[i]
-
-    def extinct_prob(self, i: int) -> float:
-        """P(Z_i = 0) for the i-generation population, newest law at the root."""
-        self._extend(i - 1)
-        return self._extinct[i]
-
-    def simulate_population(self, i: int, rng) -> int:
-        """Count-level draw of Z_i under this environment, newest law at the root."""
-        return _population_walk([self.law(j) for j in range(i - 1, -1, -1)], _SIZE_STOP, rng)[0]
+    def simulate_population(self, rows: np.ndarray, gens: np.ndarray, rng) -> np.ndarray:
+        """Count-level draws of Z_{gens[k]} under the environment of row
+        ``rows[k]``, newest law at the root."""
+        cols = gens[:, None] - 1 - np.arange(int(gens.max(initial=0)))
+        laws = self.indices[rows[:, None], np.maximum(cols, 0)]
+        return _population_walk(self.model.support, laws, _SIZE_STOP, rng, gens)[0]
 
 
-def _population_walk(laws, stop: int, rng) -> Tuple[int, int]:
-    """Count-level Z after one generation per law of ``laws``, root first,
-    stopped early once Z is 0 or reaches ``stop``; also the generations walked."""
-    z = 1
-    for g, law in enumerate(laws, start=1):
-        z = law.sample_total(rng, z)
-        if z == 0 or z >= stop:
-            return z, g
-    return z, len(laws)
-
-
-# Series kind -> (term i on a stream, index shift of the 1/pi in its tail bound).
+# Series kind -> (terms 0..t-1 on rows r of a stream, index shift of the 1/pi
+# in its tail bound).
 _SERIES = {
     # sum of 1/pi_i
-    "inverse_mean": (lambda s, i: 1.0 / s.pi(i), 0),
+    "inverse_mean": (lambda s, r, t: 1.0 / s.pi[r, :t], 0),
     # sum of P(Z_i >= 1)/pi_i
-    "cluster_size": (lambda s, i: (1.0 - s.extinct_prob(i)) / s.pi(i), 0),
+    "cluster_size": (lambda s, r, t: (1.0 - s.extinct[r, :t]) / s.pi[r, :t], 0),
     # normalizer of the nonzero brood-vector law:
     # sum_v P(Z_1 = v)(1 - e_i^v) collapses to 1 - f_i(e_i) = 1 - e_{i+1}
-    "cluster_vector": (lambda s, i: (1.0 - s.law(i).pgf(s.extinct_prob(i))) / s.pi(i + 1), 1),
+    "cluster_vector": (lambda s, r, t: (1.0 - s.extinct[r, 1 : t + 1]) / s.pi[r, 1 : t + 1], 1),
     # same without the extinct-vector exclusion
-    "cluster_vector_leafless": (lambda s, i: (1.0 - s.law(i).pmf(0)) / s.pi(i + 1), 1),
+    "cluster_vector_leafless": (
+        lambda s, r, t: (1.0 - np.array([law.pmf(0) for law in s.model.support])[s.indices[r, :t]])
+        / s.pi[r, 1 : t + 1],
+        1,
+    ),
     # sum of 1/pi_{i+1}: the generation-index weights of brood-vector draws
-    "_inverse_mean_next": (lambda s, i: 1.0 / s.pi(i + 1), 1),
+    "_inverse_mean_next": (lambda s, r, t: 1.0 / s.pi[r, 1 : t + 1], 1),
 }
 SERIES_KINDS = tuple(kind for kind in _SERIES if not kind.startswith("_"))
 
@@ -148,40 +252,55 @@ SERIES_KINDS = tuple(kind for kind in _SERIES if not kind.startswith("_"))
 def _certified_sum(
     term, stream: EnvStream, cfg: LimitConfig, shift: int, name: str
 ) -> Tuple[SeriesValue, np.ndarray]:
-    """Sum ``term(0) + term(1) + ...`` (term i realizes generation i) until the
-    tail bound (1/pi_{i+shift}) / excess falls below ``series_tol`` * value.
+    """Sum ``term(0) + term(1) + ...`` (term i realizes generation i) on every
+    row of ``stream`` until the row's tail bound (1/pi_{i+shift}) / excess
+    falls below ``series_tol`` * value; also the summed terms, one row each,
+    zero past the row's last term.
 
-    Each term j is at most 1/pi_{j+shift}; ``excess`` and the certification
-    status come from :func:`brwre.environment.series_tail`, and a ``refused``
-    tail raises before the first term.
+    ``term(stream, rows, t)`` gives terms 0..t-1 of ``rows``.  Each term j is
+    at most 1/pi_{j+shift}; ``excess`` and the certification status come
+    from :func:`brwre.environment.series_tail`, and a ``refused`` tail raises
+    before the first term.  Rows grow by ``_GROW`` generations until every
+    row has met its tail, and each row is summed from term 0 at every width,
+    so its value is the plain running sum.
     """
     excess, certified, a = series_tail(stream.model)
     if certified == "refused":
         raise NonGeometricGrowth(f"{name} has no geometric tail: E[1/m(Y)] = {a:.6g} >= 1")
-    terms: List[float] = []
-    value = 0.0
-    for i in range(cfg.max_terms):
-        t = term(i)
-        stream.law(i)  # realize generation i: every series draws terms_used laws
-        terms.append(t)
-        value += t
-        if value > 0.0:
-            tail = (1.0 / stream.pi(i + shift)) / excess
-            if tail < cfg.series_tol * value:
-                return SeriesValue(value, tail, i + 1, certified), np.asarray(terms)
-    raise NonGeometricGrowth(f"{name} did not certify its tail within {cfg.max_terms} terms")
+    n = stream.rows
+    value, tail = np.zeros(n), np.zeros(n)
+    used = np.zeros(n, dtype=np.intp)
+    summed = np.zeros((n, 0))
+    active, width = np.arange(n), 0
+    while active.size:
+        if width == cfg.max_terms:
+            raise NonGeometricGrowth(f"{name} did not certify its tail within {cfg.max_terms} terms")
+        width = min(width + _GROW, cfg.max_terms)
+        stream.grow(active, width)
+        terms = term(stream, active, width)
+        total = np.cumsum(terms, axis=1)
+        bound = (1.0 / stream.pi[active, shift : width + shift]) / excess
+        met = (total > 0.0) & (bound < cfg.series_tol * total)
+        stop = met.argmax(axis=1)
+        done = met[np.arange(active.size), stop]
+        rows, k = active[done], stop[done]
+        value[rows], tail[rows], used[rows] = total[done, k], bound[done, k], k + 1
+        summed = _widen(summed, width, 0.0)
+        summed[rows] = np.where(np.arange(width) <= k[:, None], terms[done], 0.0)
+        active = active[~done]
+    return SeriesValue(value, tail, used, certified), summed
 
 
 def _series_terms(kind: str, stream: EnvStream, cfg: LimitConfig) -> Tuple[SeriesValue, np.ndarray]:
-    """Sum one quenched series kind; returns the value and the summed terms."""
+    """Sum one quenched series kind; returns the values and the summed terms."""
     if kind not in _SERIES:
         raise ValueError(f"unknown series kind {kind!r}")
     term, shift = _SERIES[kind]
-    return _certified_sum(lambda i: term(stream, i), stream, cfg, shift, f"series {kind!r}")
+    return _certified_sum(term, stream, cfg, shift, f"series {kind!r}")
 
 
 def cluster_norm_series(kind: str, stream: EnvStream, cfg: LimitConfig) -> SeriesValue:
-    """Quenched normalizing series for a realized environment.
+    """Quenched normalizing series on every row of a block of environments.
 
     Kinds: ``inverse_mean`` (reciprocal expected generation sizes),
     ``cluster_size`` (survival-weighted reciprocals, the cluster-size law
@@ -192,69 +311,131 @@ def cluster_norm_series(kind: str, stream: EnvStream, cfg: LimitConfig) -> Serie
 
 
 def sample_martingale_limit(
-    model: EnvironmentModel, m: int, condition_on_survival: bool, rng
-) -> float:
-    """Z_m / pi_m for a fresh environment draw, by count-level simulation.
+    model: EnvironmentModel, m: int, condition_on_survival: bool, rng, size: Optional[int] = None
+):
+    """Z_m / pi_m for fresh environment draws, by count-level simulation:
+    ``size`` values, or one float for ``None``.
 
-    Rejection-restarts (fresh environment and population) on extinction when
-    conditioning.  Once the population passes the freeze threshold the
-    current ratio is returned: the martingale property keeps its conditional
-    mean exact and the remaining fluctuation is O(population^-1/2).
+    Each round draws a ``(rows, m)`` law-index matrix and walks its rows;
+    when conditioning, the rows that died out restart with a fresh
+    environment and population.  Once a population passes the freeze
+    threshold its current ratio is kept: the martingale property keeps its
+    conditional mean exact and the remaining fluctuation is
+    O(population^-1/2).
     """
+    w = np.zeros(1 if size is None else size)
 
-    def attempt(_) -> Optional[float]:
-        env = sample_env(model, m, rng)
-        z, g = _population_walk(env.laws, _FREEZE_POPULATION, rng)
-        if z > 0:
-            return float(z / env.pi[g])
-        return None if condition_on_survival else 0.0
+    def attempt(rows: np.ndarray) -> np.ndarray:
+        laws = model.draw_indices(rng, (rows.size, m))
+        z, g = _population_walk(model.support, laws, _FREEZE_POPULATION, rng)
+        alive = z > 0
+        if np.count_nonzero(alive):
+            pi = np.cumprod(model._means[laws[alive]], axis=1)
+            w[rows[alive]] = z[alive] / pi[np.arange(pi.shape[0]), g[alive] - 1]
+        return alive if condition_on_survival else np.ones(rows.size, dtype=bool)
 
-    return first_accepted(attempt, "survival restart of the martingale limit W")
+    _in_rounds(attempt, w.size, "survival restart of the martingale limit W")
+    return float(w[0]) if size is None else w
 
 
-def _draw_category(table: Tuple[np.ndarray, float], rng) -> int:
-    """One category of a ``(cut points, total)`` table, see :func:`cut_points`."""
-    return int(np.searchsorted(table[0], rng.random() * table[1], side="right"))
+def _row_cuts(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row cut-point tables of nonnegative weight rows, and the row totals.
+
+    Row b holds its cumulative weights up to its last positive weight and
+    +inf from there on, so counting its entries <= u * total[b] is the
+    right-sided search of :func:`brwre.offspring.cut_points` for a uniform
+    u, and a rounding gap at the top falls to the last positive weight.
+    """
+    cum = np.cumsum(terms, axis=1)
+    total = cum[:, -1].copy()
+    last = terms.shape[1] - 1 - np.argmax(terms[:, ::-1] > 0.0, axis=1)
+    cum[np.arange(terms.shape[1]) >= last[:, None]] = np.inf
+    return cum, total
+
+
+def _draw_categories(table: Tuple[np.ndarray, np.ndarray], rows: np.ndarray, rng) -> np.ndarray:
+    """One category per entry of ``rows``, from that row of a :func:`_row_cuts` table."""
+    cuts, total = table
+    u = rng.random(rows.size) * total[rows]
+    return (cuts[rows] <= u[:, None]).sum(axis=1)
+
+
+def _one_or_rows(rows) -> np.ndarray:
+    return np.zeros(1, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
 
 
 class ClusterSampler:
-    """Two-stage samplers for the cluster laws of one realized environment."""
+    """Two-stage samplers for the cluster laws of each row of a block of
+    environments.  The draws take the row of each big jump; ``rows=None``
+    draws one on the first row and returns it as a plain value."""
 
     def __init__(self, stream: EnvStream, cfg: LimitConfig):
         self.stream = stream
         self.size_norm, terms = _series_terms("cluster_size", stream, cfg)
-        self._size_table = cut_points(terms)
-        self._vec_table = cut_points(_series_terms("_inverse_mean_next", stream, cfg)[1])
+        self._size_table = _row_cuts(terms)
+        self._vec_table = _row_cuts(_series_terms("_inverse_mean_next", stream, cfg)[1])
 
-    def _draw_size(self, i: int, rng, conditioned: bool) -> int:
-        """Z_i by the count-level population walk, conditioned on >= 1 if asked."""
+    def _draw_size(self, rows: np.ndarray, gens: np.ndarray, rng, conditioned: bool) -> np.ndarray:
+        """Z_{gens[k]} under row ``rows[k]`` by the count-level population walk,
+        each conditioned on >= 1 if asked: the dead walks are redone."""
         if not conditioned:
-            return self.stream.simulate_population(i, rng)
-        return first_accepted(lambda _: self.stream.simulate_population(i, rng) or None, "cluster size draw")
+            return self.stream.simulate_population(rows, gens, rng)
+        sizes = np.zeros(rows.size, dtype=np.int64)
 
-    def sample_size(self, rng) -> int:
-        """The number of final-generation descendants of one big jump."""
-        i = _draw_category(self._size_table, rng)
-        return self._draw_size(i, rng, conditioned=True)
+        def attempt(todo: np.ndarray) -> np.ndarray:
+            sizes[todo] = self.stream.simulate_population(rows[todo], gens[todo], rng)
+            return sizes[todo] > 0
 
-    def sample_brood_vector(self, rng) -> Tuple[int, np.ndarray]:
-        """A brood size V and the V descendant counts, not all zero."""
+        _in_rounds(attempt, rows.size, "cluster size draw")
+        return sizes
 
-        def attempt(_) -> Optional[Tuple[int, np.ndarray]]:
-            i = _draw_category(self._vec_table, rng)
-            v = self.stream.law(i).sample_many(rng, 1)[0]
+    def sample_size(self, rng, rows=None):
+        """The number of final-generation descendants of one big jump per row
+        of ``rows``."""
+        r = _one_or_rows(rows)
+        sizes = self._draw_size(r, _draw_categories(self._size_table, r, rng), rng, conditioned=True)
+        return int(sizes[0]) if rows is None else sizes
+
+    def sample_brood_vector(self, rng, rows=None):
+        """Brood sizes V, one per row of ``rows``, and the V descendant counts
+        of each brood, not all zero, flat in the order of ``rows``."""
+        r = _one_or_rows(rows)
+        support = self.stream.model.support
+        v = np.zeros(r.size, dtype=np.int64)
+        # (draw, count) of every member of the broods each round accepted
+        members = [(np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64))]
+
+        def attempt(todo: np.ndarray) -> np.ndarray:
+            gens = _draw_categories(self._vec_table, r[todo], rng)
+            laws = self.stream.indices[r[todo], gens]
+            vt = np.zeros(todo.size, dtype=np.int64)
+            for k, law in enumerate(support):
+                sel = np.flatnonzero(laws == k)
+                vt[sel] = law.sample_many(rng, sel.size)
+            owner = np.repeat(np.arange(todo.size), vt)
+            sizes = self.stream.simulate_population(r[todo][owner], gens[owner], rng)
             # an empty brood (v = 0) has no nonzero count and is rejected too
-            sizes = np.array([self._draw_size(i, rng, conditioned=False) for k in range(v)])
-            return (int(v), sizes) if sizes.any() else None
+            ok = np.bincount(owner[sizes > 0], minlength=todo.size) > 0
+            v[todo[ok]] = vt[ok]
+            members.append((todo[owner][ok[owner]], sizes[ok[owner]]))
+            return ok
 
-        return first_accepted(attempt, "brood-vector rejection")
+        _in_rounds(attempt, r.size, "brood-vector rejection")
+        draws, counts = (np.concatenate(m) for m in zip(*members))
+        sizes = counts[np.argsort(draws, kind="stable")]
+        return (int(v[0]), sizes) if rows is None else (v, sizes)
 
-    def single_descendant_prob(self) -> float:
-        """P(cluster size = 1): the chance one big jump shows up alone."""
-        total, base = 0.0, (0.0, 1.0)  # (P(Z_i = 0), P(Z_i = 1)) from Z_0 = 1
-        for i in range(self.size_norm.terms_used):
-            total += base[1] / self.stream.pi(i)
-            base = compose_generation(self.stream.law(i), base)
+    def single_descendant_prob(self) -> np.ndarray:
+        """P(cluster size = 1) on each row: the chance one big jump shows up alone."""
+        s, used = self.stream, self.size_norm.row_terms
+        total = np.zeros(s.rows)
+        p0, p1 = np.zeros(s.rows), np.ones(s.rows)  # P(Z_i = 0), P(Z_i = 1) from Z_0 = 1
+        for i in range(int(used.max())):
+            total += np.where(i < used, p1 / s.pi[:, i], 0.0)
+            for k, law in enumerate(s.model.support):
+                sel = s.indices[:, i] == k
+                if sel.any():
+                    p0[sel], p1[sel] = compose_generation(law, (p0[sel], p1[sel]))
         return total / self.size_norm.value
 
 
@@ -262,25 +443,29 @@ def _general_q_series(
     disp: DisplacementModel, stream: EnvStream, cfg: LimitConfig
 ) -> SeriesValue:
     """The environment part of the mixing scale from the exceedance-count masses."""
-    vmaxes = [law.support_max for law in stream.model.support]
+    support = stream.model.support
+    vmaxes = [law.support_max for law in support]
     if any(v is None for v in vmaxes):
         raise UnboundedProgenyInGeneralMode(
             "the exceedance-count series needs bounded progeny support"
         )
-    disp.check_broods(stream.model.support)
+    disp.check_broods(support)
     masses = {v: exceedance_masses(disp, v) for v in range(1, max(vmaxes) + 1)}
 
-    def term(i: int) -> float:
-        law = stream.law(i)
-        e_i = stream.extinct_prob(i)
-        inner = 0.0
-        for v in range(1, law.support_max + 1):
-            pv = law.pmf(v)
-            if pv == 0.0:
-                continue
-            ks = np.arange(1, v + 1)
-            inner += pv * float((1.0 - e_i ** ks) @ masses[v])
-        return inner / stream.pi(i + 1)
+    def term(s: EnvStream, rows: np.ndarray, t: int) -> np.ndarray:
+        extinct, laws = s.extinct[rows, :t], s.indices[rows, :t]
+        inner = np.zeros(extinct.shape)
+        for k, law in enumerate(support):
+            sel = laws == k
+            e = extinct[sel][:, None]
+            acc = np.zeros(e.shape[0])
+            for v in range(1, law.support_max + 1):
+                pv = law.pmf(v)
+                if pv == 0.0:
+                    continue
+                acc += pv * ((1.0 - e ** np.arange(1, v + 1)) @ masses[v])
+            inner[sel] = acc
+        return inner / s.pi[rows, 1 : t + 1]
 
     # each term is at most p * 1/pi_i (single-coordinate union bound)
     return _certified_sum(term, stream, cfg, 0, "exceedance-count series")[0]
@@ -292,8 +477,10 @@ def sample_q(
     cfg: LimitConfig,
     rng,
     method: str = "auto",
-) -> QSample:
-    """One draw of the mixing scale Q of the limit maximum.
+    size: Optional[int] = None,
+):
+    """Draws of the mixing scale Q of the limit maximum: a list of ``size``
+    draws, or one :class:`QSample` for ``None``.
 
     ``method="auto"`` uses the closed shortcuts for the iid and fully
     dependent modes and the exceedance-count series otherwise; ``"general"``
@@ -302,8 +489,8 @@ def sample_q(
     """
     if method not in ("auto", "shortcut", "general"):
         raise ValueError(f"unknown method {method!r}")
-    w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng)
-    stream = EnvStream(env_model, rng)
+    w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng, 1 if size is None else size)
+    stream = EnvStream(env_model, rng, w.size)
     use_general = method == "general" or (
         method == "auto" and disp.mode == "discrete_angular"
     )
@@ -318,7 +505,8 @@ def sample_q(
         q = w * disp.p * sv.value
     else:
         raise ValueError("discrete_angular mode has no shortcut; use the general method")
-    return QSample(q=q, w=w, c_value=sv.value)
+    draws = [QSample(*row) for row in zip(q.tolist(), w.tolist(), sv.value.tolist())]
+    return draws[0] if size is None else draws
 
 
 def limit_max_cdf(q_samples: List[QSample], x: float, alpha: float) -> float:
@@ -386,19 +574,22 @@ def sample_limit_point_process(
     env_model: EnvironmentModel,
     cfg: LimitConfig,
     rng,
-) -> Tuple[PointMeasure, float]:
-    """One draw of the limit extremal process, plus its realized scale.
+    size: Optional[int] = None,
+):
+    """Draws of the limit extremal process, each with its realized scale: a
+    list of ``size`` measures and an array of their scales, or one measure
+    and its scale for ``None``.
 
     Radial points fall on (u_min, inf) with the alpha-homogeneous intensity;
-    every point carries a cluster drawn from the quenched laws of a fresh
-    environment, and the whole picture is scaled by
+    every point carries a cluster drawn from the quenched laws of its draw's
+    environment (one row of a block), and each picture is scaled by
     (series * martingale_limit)^(1/alpha).  Atoms below scale * u_min are not
     represented, so test functionals must stay above that floor.  An angular
     model needs every brood within its coordinates (ValueError otherwise).
     """
     disp.check_broods(env_model.support)
-    w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng)
-    stream = EnvStream(env_model, rng)
+    w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng, 1 if size is None else size)
+    stream = EnvStream(env_model, rng, w.size)
     sampler = ClusterSampler(stream, cfg)
     inv_alpha = 1.0 / disp.alpha
     if disp.mode == "iid":
@@ -410,26 +601,30 @@ def sample_limit_point_process(
     rate = cfg.u_min ** -disp.alpha
     if disp.mode == "discrete_angular":
         rate *= disp.angular_total_mass
-    n_pts = int(rng.poisson(rate))
-    if n_pts == 0:
-        return PointMeasure.empty(), scale
-    radii = cfg.u_min * rng.random(n_pts) ** -inv_alpha
+    n_pts = rng.poisson(rate, w.size)
+    draw = np.repeat(np.arange(w.size), n_pts)  # the draw of every point
+    radii = cfg.u_min * rng.random(draw.size) ** -inv_alpha
 
     if disp.mode != "discrete_angular":
-        signs = np.where(rng.random(n_pts) < disp.p, 1.0, -1.0)
+        signs = np.where(rng.random(draw.size) < disp.p, 1.0, -1.0)
         if disp.mode == "iid":
-            mults = [sampler.sample_size(rng) for _ in range(n_pts)]
+            mults = sampler.sample_size(rng, draw)
         else:
-            mults = [int(sampler.sample_brood_vector(rng)[1].sum()) for _ in range(n_pts)]
-        return PointMeasure.from_atoms(scale * signs * radii, np.array(mults)), scale
-    locs, mults = [], []
-    atom_idx = disp.draw_atoms(rng, n_pts)
-    atoms = disp.atom_matrix()
-    for l in range(n_pts):
-        v, sizes = sampler.sample_brood_vector(rng)
-        coords = atoms[atom_idx[l], :v]
-        for k in range(v):
-            if sizes[k] >= 1 and coords[k] != 0.0:
-                locs.append(scale * radii[l] * coords[k])
-                mults.append(int(sizes[k]))
-    return PointMeasure.from_atoms(np.array(locs), np.array(mults)), scale
+            v, sizes = sampler.sample_brood_vector(rng, draw)
+            mults = np.zeros(draw.size, dtype=np.int64)
+            np.add.at(mults, np.repeat(np.arange(draw.size), v), sizes)
+        locs = scale[draw] * signs * radii
+    else:
+        atom_idx = disp.draw_atoms(rng, draw.size)
+        v, mults = sampler.sample_brood_vector(rng, draw)
+        point = np.repeat(np.arange(draw.size), v)
+        rank = np.arange(point.size) - np.repeat(np.cumsum(v) - v, v)
+        coords = disp.atom_matrix()[atom_idx[point], rank]
+        locs = scale[draw[point]] * radii[point] * coords
+        draw = draw[point]
+    # atoms are grouped by draw; from_atoms drops zero multiplicities and locations
+    bounds = np.searchsorted(draw, np.arange(1, w.size))
+    measures = [
+        PointMeasure.from_atoms(*atoms) for atoms in zip(np.split(locs, bounds), np.split(mults, bounds))
+    ]
+    return (measures[0], float(scale[0])) if size is None else (measures, scale)

@@ -2,7 +2,9 @@
 
 Every family exposes the same small surface: ``mean``, ``pmf``, ``pgf`` and
 its derivative ``pgf_prime``, vectorised child-count sampling, and a
-closed-form draw for the total progeny of a whole generation.  Every
+closed-form draw for the total progeny of a whole generation.  ``pgf``,
+``pgf_prime`` and ``sample_total`` take a scalar or an array (one entry per
+population of a block).  Every
 categorical draw of the package is one right-sided search of a cut-point
 table (:func:`cut_points`) that the owner of the law builds once.  Child
 counts of every random family (Poisson, Geometric, Binomial, Finite) take
@@ -33,10 +35,20 @@ _GUIDE_SIZE = 2 ** 16
 _TABLE_MAX = 2 ** 18
 
 
-def _check_prob(s: float) -> float:
+def _check_prob(s):
+    """``s`` as a float, or a float array, once every entry lies in [0, 1]."""
+    if isinstance(s, np.ndarray):
+        if s.size and not (np.minimum.reduce(s, None) >= 0.0 and np.maximum.reduce(s, None) <= 1.0):
+            raise ValueError(f"pgf arguments must lie in [0, 1], got {s.min()} to {s.max()}")
+        return s
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"pgf argument must lie in [0, 1], got {s}")
     return float(s)
+
+
+def _total(draw, count):
+    """A total-progeny draw as an int for an int ``count``, as an array for an array."""
+    return draw if isinstance(count, np.ndarray) else int(draw)
 
 
 def cut_points(weights) -> Tuple[np.ndarray, float]:
@@ -80,7 +92,12 @@ class CountTable:
 
     def draw(self, rng, size: int) -> np.ndarray:
         u = rng.random(size)
-        counts = self.guide[(u * _GUIDE_SIZE).astype(np.intp)].astype(np.int64)
+        # the bucket of each uniform is cast straight into an integer array,
+        # with no float copy of u, and freed once the guide is read
+        bucket = np.multiply(u, _GUIDE_SIZE, out=np.empty(size, dtype=np.intp), casting="unsafe")
+        counts = self.guide[bucket]
+        del bucket
+        counts = counts.astype(np.int64)
         straddled = np.flatnonzero(counts < 0)
         counts[straddled] = np.searchsorted(self.cuts, u[straddled], side="right")
         return counts
@@ -122,10 +139,10 @@ class Deterministic:
     def pmf(self, j: int) -> float:
         return 1.0 if j == self.k else 0.0
 
-    def pgf(self, s: float) -> float:
+    def pgf(self, s):
         return _check_prob(s) ** self.k
 
-    def pgf_prime(self, s: float) -> float:
+    def pgf_prime(self, s):
         return self.k * _check_prob(s) ** (self.k - 1)
 
     @property
@@ -135,7 +152,7 @@ class Deterministic:
     def sample_many(self, rng, size: int) -> np.ndarray:
         return np.full(size, self.k, dtype=np.int64)
 
-    def sample_total(self, rng, count: int) -> int:
+    def sample_total(self, rng, count):
         return self.k * count
 
 
@@ -158,10 +175,10 @@ class Poisson:
             return 0.0
         return math.exp(j * math.log(self.lam) - self.lam - math.lgamma(j + 1))
 
-    def pgf(self, s: float) -> float:
-        return math.exp(self.lam * (_check_prob(s) - 1.0))
+    def pgf(self, s):
+        return np.exp(self.lam * (_check_prob(s) - 1.0))
 
-    def pgf_prime(self, s: float) -> float:
+    def pgf_prime(self, s):
         return self.lam * self.pgf(s)
 
     @property
@@ -171,8 +188,8 @@ class Poisson:
     def sample_many(self, rng, size: int) -> np.ndarray:
         return self._table.draw(rng, size)
 
-    def sample_total(self, rng, count: int) -> int:
-        return int(rng.poisson(self.lam * count))
+    def sample_total(self, rng, count):
+        return _total(rng.poisson(self.lam * count), count)
 
 
 @dataclass(frozen=True)
@@ -194,10 +211,10 @@ class Geometric:
             return 0.0
         return (1.0 - self.q) * self.q ** j
 
-    def pgf(self, s: float) -> float:
+    def pgf(self, s):
         return (1.0 - self.q) / (1.0 - self.q * _check_prob(s))
 
-    def pgf_prime(self, s: float) -> float:
+    def pgf_prime(self, s):
         return (1.0 - self.q) * self.q / (1.0 - self.q * _check_prob(s)) ** 2
 
     @property
@@ -207,10 +224,10 @@ class Geometric:
     def sample_many(self, rng, size: int) -> np.ndarray:
         return self._table.draw(rng, size)
 
-    def sample_total(self, rng, count: int) -> int:
+    def sample_total(self, rng, count):
         # Sum of `count` geometrics = negative binomial (failures before
         # the count-th success at success probability 1 - q).
-        return int(rng.negative_binomial(count, 1.0 - self.q))
+        return _total(rng.negative_binomial(count, 1.0 - self.q), count)
 
 
 @dataclass(frozen=True)
@@ -236,10 +253,10 @@ class Binomial:
         logc = math.lgamma(self.m + 1) - math.lgamma(j + 1) - math.lgamma(self.m - j + 1)
         return math.exp(logc + j * math.log(self.q) + (self.m - j) * math.log(1.0 - self.q))
 
-    def pgf(self, s: float) -> float:
+    def pgf(self, s):
         return (1.0 - self.q + self.q * _check_prob(s)) ** self.m
 
-    def pgf_prime(self, s: float) -> float:
+    def pgf_prime(self, s):
         return self.m * self.q * (1.0 - self.q + self.q * _check_prob(s)) ** (self.m - 1)
 
     @property
@@ -249,8 +266,8 @@ class Binomial:
     def sample_many(self, rng, size: int) -> np.ndarray:
         return self._table.draw(rng, size)
 
-    def sample_total(self, rng, count: int) -> int:
-        return int(rng.binomial(self.m * count, self.q))
+    def sample_total(self, rng, count):
+        return _total(rng.binomial(self.m * count, self.q), count)
 
 
 @dataclass(frozen=True)
@@ -282,13 +299,11 @@ class Finite:
             return self.probs[j]
         return 0.0
 
-    def pgf(self, s: float) -> float:
-        s = _check_prob(s)
-        return float(np.polynomial.polynomial.polyval(s, self._vec()))
+    def pgf(self, s):
+        return np.polynomial.polynomial.polyval(_check_prob(s), self._vec())
 
-    def pgf_prime(self, s: float) -> float:
-        s = _check_prob(s)
-        return float(np.polynomial.polynomial.polyval(s, np.polynomial.polynomial.polyder(self._vec())))
+    def pgf_prime(self, s):
+        return np.polynomial.polynomial.polyval(_check_prob(s), np.polynomial.polynomial.polyder(self._vec()))
 
     @property
     def support_max(self):
@@ -297,9 +312,9 @@ class Finite:
     def sample_many(self, rng, size: int) -> np.ndarray:
         return self._table.draw(rng, size)
 
-    def sample_total(self, rng, count: int) -> int:
+    def sample_total(self, rng, count):
         hits = rng.multinomial(count, self._vec())
-        return int(np.arange(hits.size) @ hits)
+        return _total(hits @ np.arange(hits.shape[-1]), count)
 
 
 OffspringLaw = Union[Deterministic, Poisson, Geometric, Binomial, Finite]

@@ -42,6 +42,9 @@ def segment_pmf(env_rev, cap: int) -> np.ndarray:
     return pmf
 
 
-def stream_pmf(stream, i: int, cap: int) -> np.ndarray:
-    """P(Z_i = 0..cap) on an ``EnvStream``, with its newest law at the root."""
-    return segment_pmf([stream.law(j) for j in range(i - 1, -1, -1)], cap)
+def stream_pmf(stream, i: int, cap: int, row: int = 0) -> np.ndarray:
+    """P(Z_i = 0..cap) on row ``row`` of an ``EnvStream``, with its newest law
+    at the root; the row must hold at least i realized generations."""
+    assert stream.length[row] >= i
+    laws = [stream.model.support[k] for k in stream.indices[row, :i].tolist()]
+    return segment_pmf(laws[::-1], cap)

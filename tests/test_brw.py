@@ -272,6 +272,23 @@ def test_peak_memory_per_leaf():
         assert peak / outcome.z[-1] < bound, (track, peak / outcome.z[-1])
 
 
+def test_count_draw_peak_memory_per_parent():
+    # a child-count draw holds the uniforms (8 bytes a parent), the bucket
+    # indices (8) and the guide's int32 categories (4), and then the int64
+    # counts (8) once the buckets are freed: 20 bytes a parent.  Forming the
+    # buckets through a float copy of the uniforms peaked at 24.
+    n = 1_000_000
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        counts = Poisson(2.5).sample_many(rng, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.size == n and counts.dtype == np.int64
+    assert peak / n < 21.0, peak / n
+
+
 def test_peak_memory_per_leaf_in_small_chunks(monkeypatch):
     # with chunks of 2^12 leaves the peak is set by the leaves' parents (their
     # positions, counts and count draw) and the retained atoms: it read 24.5 /

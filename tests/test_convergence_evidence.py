@@ -81,8 +81,7 @@ def test_count_distribution_distance_shrinks_with_n(rng):
     lc = LimitConfig(u_min=0.6)
     disp = DisplacementModel.iid(2.0, 1.0)
     limit = np.array([
-        sample_limit_point_process(disp, BINARY, lc, rng)[0].count_above(1.0)
-        for _ in range(20_000)
+        m.count_above(1.0) for m in sample_limit_point_process(disp, BINARY, lc, rng, size=20_000)[0]
     ])
     tv = {
         n: count_distribution_tv(run_stats(n, 800, 1.0, 300 + n)["counts"], limit)
@@ -132,9 +131,7 @@ def test_laplace_functional_two_sided_agreement(rng):
     finite = [simulate(cfg, replication_rng(77, r)).atoms for r in range(800)]
     lc = LimitConfig(u_min=0.6)
     disp = DisplacementModel.iid(2.0, 0.5)
-    limit = [
-        sample_limit_point_process(disp, BINARY, lc, rng)[0] for _ in range(4000)
-    ]
+    limit = sample_limit_point_process(disp, BINARY, lc, rng, size=4000)[0]
     f = TestFunction("indicator_above", 1.0, theta=1.0)
     fin = laplace_estimate(finite, f, retention_floor=0.1)
     lim = laplace_estimate(limit, f)

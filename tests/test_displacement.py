@@ -6,6 +6,7 @@ import pytest
 
 from brwre.displacement import (
     DisplacementModel,
+    _apply_signs,
     brood_flat,
     exceedance_masses,
     norming_constant,
@@ -49,6 +50,17 @@ def test_iid_signed_balance(rng):
     assert abs((x > 0).mean() - 0.3) < 3 * math.sqrt(0.3 * 0.7 / x.size)
     # |X| has the standard tail regardless of sign
     assert abs((np.abs(x) > 4.0).mean() - 4.0 ** -1.5) < 3 * math.sqrt(4.0 ** -1.5 / x.size)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_sign_flip_in_place_matches_masked_multiply(p):
+    # _apply_signs negates in place where the sign uniform is >= p; the
+    # masked multiply it replaced gives the same array, signed zeros included
+    mags = np.concatenate([np.random.default_rng(1).random(10_000) + 1.0, [0.0, 0.0]])
+    expect = mags.copy()
+    expect[np.random.default_rng(2).random(expect.size) >= p] *= -1.0
+    got = _apply_signs(mags.copy(), p, np.random.default_rng(2))
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
 def test_axis_atoms_single_nonzero(rng):

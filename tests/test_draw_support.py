@@ -103,4 +103,4 @@ def test_cluster_sampler_draws_stay_in_support():
     # the population walk gives Z_i = 2^i, conditioned or not
     for i in (1, 3, 6):
         for conditioned in (False, True):
-            assert sampler._draw_size(i, TOP, conditioned) == 2 ** i
+            assert sampler._draw_size(np.array([0]), np.array([i]), TOP, conditioned).tolist() == [2 ** i]

@@ -1,12 +1,13 @@
 import math
 import time
+from typing import Tuple
 
 import numpy as np
 import pytest
 from scipy import stats as st
 
 from brwre.displacement import DisplacementModel
-from brwre.environment import EnvironmentModel, check_assumptions
+from brwre.environment import EnvironmentModel, check_assumptions, series_tail
 from brwre.errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode
 from brwre import limit_laws
 from brwre.limit_laws import (
@@ -31,6 +32,10 @@ POISSON2 = EnvironmentModel.single(Poisson(2.0))
 MIXTURE = EnvironmentModel((Poisson(2.0), Poisson(3.0)), (0.5, 0.5))
 BOUNDED_MIX = EnvironmentModel((Binomial(3, 0.7), Finite((0.2, 0.3, 0.5))), (0.5, 0.5))
 CFG = LimitConfig()
+# Z_2 is 2 Poisson(3) with the Poisson law at the root and Poisson(6) with the
+# other order, so the two orders of a stream's laws give clearly different
+# cluster-size laws (MIXTURE's two Poisson laws differ too little for it)
+ORDER_MIX = EnvironmentModel((Deterministic(2), Poisson(3.0)), (0.5, 0.5))
 
 
 def fresh_stream(model, rng) -> EnvStream:
@@ -46,13 +51,13 @@ def test_martingale_limit_deterministic_is_one(rng):
 
 def test_martingale_limit_unconditioned_mean(rng):
     n = 100_000
-    w = np.array([sample_martingale_limit(POISSON2, 10, False, rng) for _ in range(n)])
+    w = sample_martingale_limit(POISSON2, 10, False, rng, size=n)
     assert abs(w.mean() - 1.0) < 3 * w.std() / math.sqrt(n)
 
 
 def test_martingale_limit_conditioned_positive(rng):
-    for _ in range(200):
-        assert sample_martingale_limit(MIXTURE, 8, True, rng) > 0.0
+    assert np.all(sample_martingale_limit(MIXTURE, 8, True, rng, size=200) > 0.0)
+    assert sample_martingale_limit(MIXTURE, 8, True, rng) > 0.0
 
 
 # -------------------------------------------------------------------- series
@@ -111,7 +116,7 @@ def test_series_deterministic_rule_when_every_mean_exceeds_one(rng):
             stream = fresh_stream(model, rng)
             sv = cluster_norm_series(kind, stream, CFG)
             assert sv.certified == "deterministic"
-            assert sv.tail_bound == (1.0 / stream.pi(sv.terms_used - 1 + shift)) / (g - 1.0)
+            assert sv.tail_bound[0] == (1.0 / stream.pi[0, sv.terms_used - 1 + shift]) / (g - 1.0)
 
 
 # a = E[1/m(Y)] = 0.2/0.9 + 0.8/4 = 0.42 and E[1/m(Y)^2] = 0.30 < 1, so the
@@ -128,13 +133,15 @@ def test_series_annealed_bound_holds_in_expectation(kind):
     n_streams, extra = 400, 300
     term = limit_laws._SERIES[kind][0]
     rng = np.random.default_rng(90210)
-    ratios = np.empty(n_streams)
-    for r in range(n_streams):
-        stream = fresh_stream(ANNEALED, rng)
-        sv = cluster_norm_series(kind, stream, CFG)
-        assert sv.certified == "annealed"
-        rest = sum(term(stream, j) for j in range(sv.terms_used, sv.terms_used + extra))
-        ratios[r] = rest / sv.tail_bound
+    stream = EnvStream(ANNEALED, rng, n_streams)
+    sv = cluster_norm_series(kind, stream, CFG)
+    assert sv.certified == "annealed"
+    rows = np.arange(n_streams)
+    width = int(sv.row_terms.max()) + extra
+    stream.grow(rows, width)
+    cols = np.arange(width)
+    later = (cols >= sv.row_terms[:, None]) & (cols < sv.row_terms[:, None] + extra)
+    ratios = np.where(later, term(stream, rows, width), 0.0).sum(axis=1) / sv.tail_bound
     se = ratios.std(ddof=1) / math.sqrt(n_streams)
     assert ratios.mean() <= 1.0 + 4.0 * se
 
@@ -147,21 +154,113 @@ def test_series_refused_when_expected_tail_diverges():
         stream = fresh_stream(model, np.random.default_rng(0))
         with pytest.raises(NonGeometricGrowth, match="1.05"):
             limit_laws._series_terms(kind, stream, CFG)
-        assert len(stream._indices) == 0
+        assert stream.length.sum() == 0
 
 
-def test_every_series_draws_terms_used_laws(rng):
-    # the next draw reads the same rng, so a series on a fresh stream must
-    # realize exactly the generations it summed
+# every mean exceeds 1 (a certified tail, excess 0.02), but slowly enough
+# that the rows of a series stop after different numbers of growth steps
+SLOW_MIX = EnvironmentModel((Poisson(1.02), Poisson(4.0)), (0.5, 0.5))
+
+
+def _assert_row_major_growth(stream, sv, model, seed) -> None:
+    """The block contract after one series on a fresh block: a row stops
+    growing at the step that covers its last summed term, and step k drew one
+    uniform per generation of the rows still growing, in row-major order."""
+    step = limit_laws._GROW
+    steps = -(-sv.row_terms // step)
+    assert np.array_equal(stream.length, step * steps)
+    replay = np.random.default_rng(seed)
+    for k in range(1, int(steps.max()) + 1):
+        rows = np.flatnonzero(steps >= k)
+        drawn = model.draw_indices(replay, (rows.size, step))
+        assert np.array_equal(stream.indices[rows, (k - 1) * step : k * step], drawn)
+    # nothing else was drawn: the next uniform is the replay's next one
+    assert stream._rng.random() == replay.random()
+
+
+def test_every_series_grows_its_rows_row_major():
     for kind in limit_laws._SERIES:
-        for _ in range(20):
-            stream = fresh_stream(MIXTURE, rng)
+        for model in (MIXTURE, SLOW_MIX):
+            stream = EnvStream(model, np.random.default_rng(17), 20)
             sv = limit_laws._series_terms(kind, stream, CFG)[0]
-            assert len(stream._indices) == sv.terms_used
-    for _ in range(20):
-        stream = fresh_stream(BOUNDED_MIX, rng)
-        sv = limit_laws._general_q_series(DisplacementModel.iid(2.0, 0.6), stream, CFG)
-        assert len(stream._indices) == sv.terms_used
+            _assert_row_major_growth(stream, sv, model, 17)
+        # the rows of SLOW_MIX stop after different numbers of steps
+        assert len(set(stream.length.tolist())) > 1
+    stream = EnvStream(BOUNDED_MIX, np.random.default_rng(18), 20)
+    sv = limit_laws._general_q_series(DisplacementModel.iid(2.0, 0.6), stream, CFG)
+    assert isinstance(sv.terms_used, int) and sv.terms_used == sv.row_terms.sum()
+    _assert_row_major_growth(stream, sv, BOUNDED_MIX, 18)
+
+
+def test_second_series_grows_only_the_rows_it_needs():
+    # a later series on the same block draws only past each row's length,
+    # row-major over the rows it grows
+    stream = EnvStream(SLOW_MIX, np.random.default_rng(19), 20)
+    first = limit_laws._series_terms("inverse_mean", stream, CFG)[0]
+    before = stream.indices.copy(), stream.length.copy()
+    state = stream._rng.bit_generator.state
+    stream.grow(np.arange(20), int(stream.length.max()) + 5)
+    width = int(stream.length.max())
+    assert np.all(stream.length == width)
+    for row in range(20):
+        assert np.array_equal(stream.indices[row, : before[1][row]], before[0][row, : before[1][row]])
+    replay = np.random.default_rng(19)
+    replay.bit_generator.state = state
+    fresh = np.concatenate([stream.indices[r, before[1][r] : width] for r in range(20)])
+    assert np.array_equal(fresh, SLOW_MIX.draw_indices(replay, fresh.size))
+    assert first.terms_used == first.row_terms.sum()
+
+
+def _block_oracle(stream, row: int, kind: str, used: int):
+    """Plain-Python recomputation of one row of a block from its law indices:
+    pi by a running product; each extinction probability as one scalar pgf
+    step from the block's previous one; terms 0..used-1 of ``kind`` from
+    those.  Returns (pi, extinct, terms, ulps), ``ulps`` the distance allowed
+    between each block extinction probability and its step."""
+    laws = [stream.model.support[k] for k in stream.indices[row, : stream.length[row]].tolist()]
+    pi = [1.0]
+    for law in laws:
+        pi.append(pi[-1] * law.mean())
+    e = stream.extinct[row, : len(laws) + 1].tolist()
+    extinct = [0.0] + [float(law.pgf(e[j])) for j, law in enumerate(laws)]
+    # numpy evaluates exp and pow on arrays by other routines than on one
+    # float, within 1 ulp; arithmetic pgfs agree exactly
+    ulps = [0.0] + [0.0 if isinstance(law, (Geometric, Finite)) else 1.0 for law in laws]
+    term = {
+        "inverse_mean": lambda i: 1.0 / pi[i],
+        "cluster_size": lambda i: (1.0 - e[i]) / pi[i],
+        "cluster_vector": lambda i: (1.0 - e[i + 1]) / pi[i + 1],
+        "cluster_vector_leafless": lambda i: (1.0 - laws[i].pmf(0)) / pi[i + 1],
+        "_inverse_mean_next": lambda i: 1.0 / pi[i + 1],
+    }[kind]
+    return np.array(pi), np.array(extinct), [term(i) for i in range(used)], np.array(ulps)
+
+
+GEO_FINITE = EnvironmentModel((Geometric(0.6), Finite((0.2, 0.3, 0.5))), (0.4, 0.6))
+_SHIFT = {kind: shift for kind, (_, shift) in limit_laws._SERIES.items()}
+
+
+@pytest.mark.parametrize(
+    "model", [MIXTURE, BOUNDED_MIX, SLOW_MIX, ORDER_MIX, GEO_FINITE],
+    ids=["mixture", "bounded", "slow", "order", "geometric-finite"],
+)
+def test_block_series_match_plain_python_oracle(model):
+    for kind in limit_laws._SERIES:
+        stream = EnvStream(model, np.random.default_rng(23), 12)
+        sv, terms = limit_laws._series_terms(kind, stream, CFG)
+        for row in range(12):
+            used = int(sv.row_terms[row])
+            pi, extinct, expect, ulps = _block_oracle(stream, row, kind, used)
+            width = stream.length[row] + 1
+            assert np.array_equal(stream.pi[row, :width], pi)
+            assert np.all(np.abs(stream.extinct[row, :width] - extinct) <= ulps * np.spacing(extinct))
+            assert terms[row, :used].tolist() == expect
+            assert np.all(terms[row, used:] == 0.0)
+            total = 0.0
+            for t in expect:
+                total += t
+            assert sv.value[row] == total
+            assert sv.tail_bound[row] == (1.0 / pi[used - 1 + _SHIFT[kind]]) / series_tail(model)[0]
 
 
 def test_vector_norm_matches_direct_enumeration(rng):
@@ -179,8 +278,8 @@ def test_vector_norm_matches_direct_enumeration(rng):
         dead = pmf[0]
         direct = sum(
             law.pmf(v) * (s_total ** v - dead ** v) for v in range(1, 3)
-        ) / stream.pi(i + 1)
-        assert terms[i] == pytest.approx(direct, rel=1e-9)
+        ) / stream.pi[0, i + 1]
+        assert terms[0, i] == pytest.approx(direct, rel=1e-9)
 
 
 # ---------------------------------------------------------------- cluster laws
@@ -190,7 +289,7 @@ def test_cluster_size_binary_support_and_pmf(rng):
     stream = fresh_stream(BINARY, rng)
     sampler = ClusterSampler(stream, CFG)
     n = 20_000
-    draws = np.array([sampler.sample_size(rng) for _ in range(n)])
+    draws = sampler.sample_size(rng, np.zeros(n, dtype=int))
     logs = np.log2(draws)
     assert np.allclose(logs, np.round(logs))  # support in powers of two
     # chi-square against P(R = 2^i) = 2^-(i+1)
@@ -205,9 +304,30 @@ def test_cluster_size_binary_support_and_pmf(rng):
 def test_cluster_size_ternary_support(rng):
     stream = fresh_stream(EnvironmentModel.single(Deterministic(3)), rng)
     sampler = ClusterSampler(stream, CFG)
-    draws = [sampler.sample_size(rng) for _ in range(500)]
-    logs = np.log(np.array(draws)) / np.log(3.0)
+    draws = sampler.sample_size(rng, np.zeros(500, dtype=int))
+    logs = np.log(draws) / np.log(3.0)
     assert np.allclose(logs, np.round(logs))
+
+
+def _chi_square_stat(draws, pmf) -> Tuple[float, int]:
+    """Chi-square statistic of positive draws against a pmf on 0..rmax, cells
+    1..rmax and the rest, cells expecting fewer than 5 pooled; and its degrees
+    of freedom."""
+    rmax, n = pmf.size - 1, draws.size
+    obs = np.bincount(np.minimum(draws, rmax + 1), minlength=rmax + 2)[1:]
+    expect = n * np.append(pmf[1:], max(1.0 - pmf[1:].sum(), 1e-12))
+    keep = expect >= 5
+    obs_k = np.append(obs[keep], obs[~keep].sum())
+    exp_k = np.append(expect[keep], expect[~keep].sum())
+    return float(((obs_k - exp_k) ** 2 / np.maximum(exp_k, 1e-9)).sum()), int(keep.sum())
+
+
+def _assembled_size_pmf(stream, sampler, row: int, rmax: int) -> np.ndarray:
+    """The cluster-size pmf of one row, from its exact generation-size pmfs."""
+    pmf = np.zeros(rmax + 1)
+    for i in range(int(sampler.size_norm.row_terms[row])):
+        pmf += stream_pmf(stream, i, rmax, row) / stream.pi[row, i]
+    return pmf / sampler.size_norm.value[row]
 
 
 def _check_size_draws_against_assembled_pmf(model, rng) -> EnvStream:
@@ -215,21 +335,9 @@ def _check_size_draws_against_assembled_pmf(model, rng) -> EnvStream:
     pmf assembled from its exact generation-size pmfs; returns the stream."""
     stream = fresh_stream(model, rng)
     sampler = ClusterSampler(stream, CFG)
-    terms = sampler.size_norm.terms_used
-    rmax = 25
-    pmf = np.zeros(rmax + 1)
-    for i in range(terms):
-        pmf += stream_pmf(stream, i, rmax) / stream.pi(i)
-    pmf /= sampler.size_norm.value
-    n = 20_000
-    draws = np.array([sampler.sample_size(rng) for _ in range(n)])
-    obs = np.bincount(np.minimum(draws, rmax + 1), minlength=rmax + 2)[1:]
-    expect = n * np.append(pmf[1:], max(1.0 - pmf[1:].sum(), 1e-12))
-    keep = expect >= 5
-    obs_k = np.append(obs[keep], obs[~keep].sum())
-    exp_k = np.append(expect[keep], expect[~keep].sum())
-    stat = float(((obs_k - exp_k) ** 2 / np.maximum(exp_k, 1e-9)).sum())
-    assert stat < st.chi2.ppf(0.99, keep.sum())
+    pmf = _assembled_size_pmf(stream, sampler, 0, 25)
+    stat, df = _chi_square_stat(sampler.sample_size(rng, np.zeros(20_000, dtype=int)), pmf)
+    assert stat < st.chi2.ppf(0.99, df)
     return stream
 
 
@@ -239,19 +347,52 @@ def test_cluster_size_poisson_vs_assembled_pmf(rng):
     _check_size_draws_against_assembled_pmf(POISSON2, rng)
 
 
-# Z_2 is 2 Poisson(3) with the Poisson law at the root and Poisson(6) with the
-# other order, so the two orders of a stream's laws give clearly different
-# cluster-size laws (MIXTURE's two Poisson laws differ too little for it)
-ORDER_MIX = EnvironmentModel((Deterministic(2), Poisson(3.0)), (0.5, 0.5))
-
-
 def test_cluster_size_mixture_vs_assembled_pmf(rng):
     # the walk puts the newest law at the root, as the composed pmfs do.  The
     # draw count was fixed before the run: against the root-first order,
     # computed from this stream's laws, 20 000 draws give a chi-square
     # non-centrality of about 160 on 25 cells, where MIXTURE gives about 5
     stream = _check_size_draws_against_assembled_pmf(ORDER_MIX, rng)
-    assert len(set(stream._indices)) == 2
+    assert len(set(stream.indices[0, : stream.length[0]].tolist())) == 2
+
+
+def test_block_cluster_sizes_follow_their_own_rows(rng):
+    # one array walk serves the big jumps of every row: 12 000 draws per row
+    # of a three-row block, interleaved, each against its own row's
+    # assembled pmf.  The level, 1% over the three rows, was fixed before
+    # the run.
+    stream = EnvStream(ORDER_MIX, rng, 3)
+    sampler = ClusterSampler(stream, CFG)
+    rows = np.tile(np.arange(3), 12_000)
+    draws = sampler.sample_size(rng, rows)
+    pmfs = [_assembled_size_pmf(stream, sampler, row, 25) for row in range(3)]
+    for row in range(3):
+        stat, df = _chi_square_stat(draws[rows == row], pmfs[row])
+        assert stat < st.chi2.ppf(1.0 - 0.01 / 3, df)
+
+
+def test_population_walk_matches_exact_generation_pmfs(rng):
+    # Z_i drawn by the array walk for mixed rows and depths, in one shuffled
+    # call, against the convolution oracle of each (row, depth); the level,
+    # 1% over the six cells, was fixed before the run
+    stream = EnvStream(ORDER_MIX, rng, 2)
+    stream.grow(np.arange(2), 4)
+    cells = [(row, depth) for row in range(2) for depth in (1, 2, 4)]
+    n = 8000
+    rows = np.repeat([c[0] for c in cells], n)
+    gens = np.repeat([c[1] for c in cells], n)
+    order = rng.permutation(rows.size)
+    z = np.empty(rows.size, dtype=np.int64)
+    z[order] = stream.simulate_population(rows[order], gens[order], rng)
+    for k, (row, depth) in enumerate(cells):
+        pmf = stream_pmf(stream, depth, 60, row)
+        expect = n * np.append(pmf, max(1.0 - pmf.sum(), 0.0))
+        obs = np.bincount(np.minimum(z[k * n : (k + 1) * n], 61), minlength=62)
+        keep = expect >= 5
+        obs_k = np.append(obs[keep], obs[~keep].sum())
+        exp_k = np.append(expect[keep], expect[~keep].sum())
+        stat = float(((obs_k - exp_k) ** 2 / np.maximum(exp_k, 1e-9)).sum())
+        assert stat < st.chi2.ppf(1.0 - 0.01 / len(cells), max(int(keep.sum()) - 1, 1))
 
 
 def test_cluster_vector_binary(rng):
@@ -276,12 +417,12 @@ def test_cluster_vector_marginal_matches_enumeration(rng):
     vmax = 12
     marginal = np.zeros(vmax + 1)
     for i in range(terms):
-        e_i = stream.extinct_prob(i)
+        e_i = stream.extinct[0, i]
         for v in range(1, vmax + 1):
-            marginal[v] += law.pmf(v) * (1.0 - e_i ** v) / stream.pi(i + 1)
-    marginal /= c1.value
+            marginal[v] += law.pmf(v) * (1.0 - e_i ** v) / stream.pi[0, i + 1]
+    marginal /= c1.value[0]
     n = 20_000
-    draws = np.array([sampler.sample_brood_vector(rng)[0] for _ in range(n)])
+    draws = sampler.sample_brood_vector(rng, np.zeros(n, dtype=int))[0]
     for v in range(1, 7):
         p = marginal[v]
         se = math.sqrt(p * (1 - p) / n)
@@ -301,7 +442,7 @@ def test_single_descendant_prob_matches_exact_pmfs(rng):
         stream = fresh_stream(ORDER_MIX, rng)
         sampler = ClusterSampler(stream, CFG)
         exact = sum(
-            stream_pmf(stream, i, 1)[1] / stream.pi(i) for i in range(sampler.size_norm.terms_used)
+            stream_pmf(stream, i, 1)[1] / stream.pi[0, i] for i in range(sampler.size_norm.terms_used)
         ) / sampler.size_norm.value
         assert sampler.single_descendant_prob() == pytest.approx(exact, rel=1e-12)
 
@@ -426,8 +567,7 @@ def test_pp_radial_point_count(rng):
     disp = DisplacementModel.iid(2.0, 1.0)
     n = 400
     counts = {1.0: [], 2.0: []}
-    for _ in range(n):
-        m, scale = sample_limit_point_process(disp, BINARY, cfg, rng)
+    for m, scale in zip(*sample_limit_point_process(disp, BINARY, cfg, rng, size=n)):
         for u in counts:
             # atom radius in point units is |location| / scale
             counts[u].append(int((np.abs(m.locations / scale) > u).sum()))
@@ -441,10 +581,8 @@ def test_pp_max_atom_frechet(rng):
     cfg = LimitConfig(u_min=0.2)
     disp = DisplacementModel.iid(2.0, 1.0)
     n = 4000
-    maxima = np.empty(n)
-    for i in range(n):
-        m, _ = sample_limit_point_process(disp, BINARY, cfg, rng)
-        maxima[i] = m.locations.max() if m.n_atoms else 0.0
+    draws, _ = sample_limit_point_process(disp, BINARY, cfg, rng, size=n)
+    maxima = np.array([m.locations.max() if m.n_atoms else 0.0 for m in draws])
     # independent oracle: Frechet with scale (C3 W)^(1/alpha) = sqrt(2)
     frechet = math.sqrt(2.0) * rng.exponential(size=n) ** -0.5
     assert st.ks_2samp(maxima, frechet).pvalue > 1e-4
@@ -463,9 +601,7 @@ def test_pp_expected_count_above_threshold(rng):
     cfg = LimitConfig(u_min=x / math.sqrt(2.0))
     disp = DisplacementModel.iid(2.0, 1.0)
     n = 600
-    counts = np.array([
-        sample_limit_point_process(disp, BINARY, cfg, rng)[0].n_atoms for _ in range(n)
-    ], dtype=float)
+    counts = np.array([m.n_atoms for m in sample_limit_point_process(disp, BINARY, cfg, rng, size=n)[0]], dtype=float)
     lam = 2.0 * x ** -2.0
     assert abs(counts.mean() - lam) < 3 * math.sqrt(lam / n)
 
@@ -486,8 +622,7 @@ def test_pp_angular_atoms(rng):
     )
     env = EnvironmentModel.single(Deterministic(2))
     signs = []
-    for _ in range(300):
-        m, scale = sample_limit_point_process(disp, env, cfg, rng)
+    for m in sample_limit_point_process(disp, env, cfg, rng, size=300)[0]:
         signs.extend(np.sign(m.locations).tolist())
     # derived balance 0.75 shows up in the atom signs
     signs = np.asarray(signs)
@@ -506,13 +641,10 @@ def test_pp_angular_max_atom_matches_general_q(rng):
     n, delta = 1500, 1e-3
     # DKW for the point-process ECDF, Hoeffding over the grid for the Q means
     tol = math.sqrt(math.log(2 / delta) / (2 * n)) + math.sqrt(math.log(2 * len(grid) / delta) / (2 * n))
-    maxima = np.full(n, -np.inf)
-    for i in range(n):
-        m, scale = sample_limit_point_process(disp, BOUNDED_MIX, cfg, rng)
-        assert scale * cfg.u_min < grid[0]
-        if m.n_atoms:
-            maxima[i] = m.locations.max()
-    qs = [sample_q(disp, BOUNDED_MIX, cfg, rng, "general") for _ in range(n)]
+    draws, scales = sample_limit_point_process(disp, BOUNDED_MIX, cfg, rng, size=n)
+    assert np.all(scales * cfg.u_min < grid[0])
+    maxima = np.array([m.locations.max() if m.n_atoms else -np.inf for m in draws])
+    qs = sample_q(disp, BOUNDED_MIX, cfg, rng, "general", size=n)
     for x in grid:
         assert abs((maxima <= x).mean() - limit_max_cdf(qs, x, disp.alpha)) < tol
 

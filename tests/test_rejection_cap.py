@@ -1,5 +1,6 @@
 """The one give-up rule: every survival restart and rejection sampler stops
-after ``errors._REJECTION_CAP`` attempts with RejectionCapExceeded.
+after ``errors._REJECTION_CAP`` attempts with RejectionCapExceeded.  A block
+draw redoes its rejected rows in rounds, and a round is one attempt.
 
 The call-site tests lower the cap by monkeypatching; the CLI tests lower it in
 a subprocess and bound the run with a timeout, so a loop that ignores the cap
@@ -12,9 +13,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from brwre import errors
+from brwre import errors, limit_laws
 from brwre.brw import SimConfig, simulate, simulate_naive
 from brwre.config import dump_config, load_config
 from brwre.displacement import DisplacementModel
@@ -60,40 +62,75 @@ def test_simulator_survival_restart_gives_up(small_cap, sim):
         sim(cfg)
 
 
+def test_rounds_redo_rejected_rows_and_back_off():
+    # every round redoes the rejected rows while some row is accepted; after
+    # a round that accepts none, the first rejected row alone
+    seen = []
+    accept = {0: [1, 3], 1: [], 2: [], 3: [0], 4: [2, 4]}
+
+    def attempt(rows):
+        seen.append(rows.tolist())
+        return np.isin(rows, accept[len(seen) - 1])
+
+    limit_laws._in_rounds(attempt, 5, "widget")
+    assert seen == [[0, 1, 2, 3, 4], [0, 2, 4], [0], [0], [2, 4]]
+
+
 def test_martingale_survival_restart_gives_up(small_cap, rng):
     assert sample_martingale_limit(SUBCRITICAL, 30, False, rng) == 0.0
     with pytest.raises(RejectionCapExceeded, match=f"martingale limit W.*{CAP} attempts"):
         sample_martingale_limit(SUBCRITICAL, 30, True, rng)
+    # in a block, the rows that never survive exhaust the rounds
+    with pytest.raises(RejectionCapExceeded, match=f"martingale limit W.*{CAP} attempts"):
+        sample_martingale_limit(SUBCRITICAL, 30, True, rng, size=5)
+
+
+def _dying_walks(monkeypatch, keep=()):
+    """Patch the population walk: every row dies out except those whose
+    generation is in ``keep``; returns the (rows, gens) of every call."""
+    calls = []
+
+    def walk(self, rows, gens, rng):
+        calls.append((rows.tolist(), gens.tolist()))
+        return np.isin(gens, keep).astype(np.int64)
+
+    monkeypatch.setattr(EnvStream, "simulate_population", walk)
+    return calls
 
 
 def test_cluster_size_draw_gives_up(small_cap, monkeypatch, rng):
     # a conditioned size draw repeats the population walk until Z_i >= 1,
     # and a walk that always dies out never gets there
     sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
-    walks = []
-
-    def extinct_walk(self, i, rng):
-        walks.append(i)
-        return 0
-
-    monkeypatch.setattr(EnvStream, "simulate_population", extinct_walk)
+    calls = _dying_walks(monkeypatch, keep=(2,))
     with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
-        sampler._draw_size(3, rng, conditioned=True)
-    assert walks == [3] * CAP
+        sampler._draw_size(np.array([0]), np.array([3]), rng, conditioned=True)
+    assert calls == [([0], [3])] * CAP
+    # in a block, each round redoes only the draws that died: here the one
+    # at generation 2 survives its first walk.  After a round that accepts
+    # none, only the first dead draw is redone
+    calls.clear()
+    with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
+        sampler._draw_size(np.zeros(3, dtype=int), np.array([3, 2, 5]), rng, conditioned=True)
+    assert calls == [([0, 0, 0], [3, 2, 5]), ([0, 0], [3, 5])] + [([0], [3])] * (CAP - 2)
+    _dying_walks(monkeypatch)
+    with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
+        sampler.sample_size(rng)
 
 
 def test_brood_vector_rejection_gives_up(small_cap, monkeypatch, rng):
     sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
-    draws = []
-
-    def extinct(self, i, rng, conditioned):
-        draws.append(i)
-        return 0
-
-    monkeypatch.setattr(ClusterSampler, "_draw_size", extinct)
+    calls = _dying_walks(monkeypatch)
     with pytest.raises(RejectionCapExceeded, match=f"brood-vector rejection.*{CAP} attempts"):
         sampler.sample_brood_vector(rng)
-    assert len(draws) == 2 * CAP  # every binary brood has two members
+    assert len(calls) == CAP
+    assert all(len(rows) == 2 for rows, _ in calls)  # every binary brood has two members
+    # a block of three draws accepts none in its first round, and then
+    # redoes the first brood alone
+    calls.clear()
+    with pytest.raises(RejectionCapExceeded, match=f"brood-vector rejection.*{CAP} attempts"):
+        sampler.sample_brood_vector(rng, np.zeros(3, dtype=int))
+    assert [len(rows) for rows, _ in calls] == [6] + [2] * (CAP - 1)
 
 
 def _run_with_cap(tmp_path, command, cap=2000, timeout=60):

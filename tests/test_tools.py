@@ -108,6 +108,49 @@ def test_perfbench_tracer_installs():
         assert vars(owner)[attr] is raw
 
 
+def test_perfbench_tracer_traces_block_limit_draws():
+    # `--trace 1` reads the limit layer through these names; a block draw
+    # must still pass through each, and the series counter must stay an int
+    from brwre import limit_laws
+    from brwre.displacement import DisplacementModel
+    from brwre.environment import EnvironmentModel
+
+    patched = {
+        (limit_laws, "sample_q"), (limit_laws, "sample_limit_point_process"),
+        (limit_laws, "sample_martingale_limit"), (limit_laws, "_series_terms"),
+        (limit_laws, "_general_q_series"), (limit_laws.ClusterSampler, "__init__"),
+        (limit_laws.ClusterSampler, "sample_size"), (limit_laws.EnvStream, "simulate_population"),
+    }
+    for owner, attr in patched:
+        assert attr in vars(owner), attr
+    env = EnvironmentModel.single(Deterministic(2))
+    cfg = limit_laws.LimitConfig(u_min=0.2)
+    sv = limit_laws._series_terms("cluster_size", limit_laws.EnvStream(env, brw.replication_rng(1, 0), 3), cfg)[0]
+    assert type(sv.terms_used) is int and sv.terms_used == 3 * sv.row_terms[0]
+
+    tracer = _load("perfbench_layers", "perfbench", "layers.py").Tracer()
+    try:
+        tracer.install()
+        assert {(owner, attr) for owner, attr, _ in tracer._undo} >= patched
+        rng = brw.replication_rng(1, 1)
+        limit_laws.sample_q(DisplacementModel.iid(2.0, 0.5), env, cfg, rng, size=4)
+        limit_laws.sample_limit_point_process(DisplacementModel.iid(2.0, 0.5), env, cfg, rng, size=4)
+        limit_laws.sample_q(DisplacementModel.diagonal_angular(2.0, 2), env, cfg, rng, size=2)
+    finally:
+        tracer.uninstall()
+    for name in ("sample_q", "sample_limit_point_process", "sample_martingale_limit", "_series_terms",
+                 "_general_q_series", "ClusterSampler.__init__", "ClusterSampler.sample_size",
+                 "EnvStream.simulate_population"):
+        assert tracer.calls(f"limit_laws.{name}") >= 1, name
+    # every row of a binary block sums the same number of terms: 4 Q draws,
+    # 4 point-process draws (two series each) and 2 general Q draws
+    stream = limit_laws.EnvStream(env, brw.replication_rng(1, 2))
+    size, nxt = (limit_laws._series_terms(k, stream, cfg)[0].terms_used for k in ("cluster_size", "_inverse_mean_next"))
+    general = limit_laws._general_q_series(DisplacementModel.diagonal_angular(2.0, 2), stream, cfg).terms_used
+    terms = tracer.counts["series_terms"]
+    assert type(terms) is int and terms == 4 * size + 4 * (size + nxt) + 2 * general
+
+
 def test_output_digests_past_meta_ignores_only_the_config_hash(tmp_path, monkeypatch):
     # one config under two names: the output directory, and so the config
     # hash, differs, and nothing else
