@@ -4,9 +4,10 @@ The streaming simulator keeps one flat array per particle attribute and never
 revisits the genealogy; a deliberately naive twin materialises the full
 labelled tree and recomputes everything from scratch.  Both run under one
 survival-restart driver and consume random draws in the identical order (per
-generation: child counts, then the batched brood displacements), so equal
+generation: child counts, then one uniform per displacement step), so equal
 seeds must give bit-identical outcomes.  The streaming simulator draws its
-leaf generation in chunks that take the same values (see _reduce_leaves).
+leaf generation in brood-aligned chunks, which take the same uniforms with
+any bit generator (see _reduce_leaves).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .displacement import DisplacementModel, brood_flat, first_batch_size, norming_constant
+from .displacement import DisplacementModel, brood_flat, norming_constant
 from .environment import EnvironmentModel, EnvSequence, sample_env
 from .errors import PopulationCapExceeded, first_accepted
 from .measures import PointMeasure
@@ -93,10 +94,10 @@ def draw_generation(law, disp: DisplacementModel, n_parents: int, rng, cap: int)
 
     Shared by the streaming simulator and the naive oracle so that both see
     the same random stream; the streaming simulator draws its leaf
-    generation chunk by chunk instead, and leaves the generator where this
-    function would (see :func:`brood_flat`).  The displacement array is
-    fresh, as :func:`brood_flat` returns it: the caller owns it and may
-    overwrite it.
+    generation chunk by chunk instead, one :func:`brood_flat` call per
+    chunk, which takes the uniforms of this one call.  The displacement
+    array is fresh, as :func:`brood_flat` returns it: the caller owns it and
+    may overwrite it.
     """
     counts, total = _draw_counts(law, n_parents, rng, cap)
     if total == 0:
@@ -191,9 +192,6 @@ def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
 # that reaches a multiple of it.  Each chunk array takes 1 MiB or less.
 LEAF_CHUNK = 1 << 17
 
-# bit generators whose ``advance(k)`` skips exactly k doubles
-_SKIPPABLE = (np.random.PCG64, np.random.PCG64DXSM)
-
 
 def _chunk_bounds(ends: np.ndarray, chunk: int) -> list:
     """Parent indices that cut a generation with child-count cumulative sums
@@ -204,14 +202,6 @@ def _chunk_bounds(ends: np.ndarray, chunk: int) -> list:
     # the brood that reaches the last child leaves only childless parents
     cuts = np.unique(cuts[ends[cuts - 1] < total])
     return [0, *cuts.tolist(), ends.size]
-
-
-def _skipped(rng, k: int) -> np.random.Generator:
-    """A new generator that stands ``k`` doubles past ``rng``."""
-    bits = type(rng.bit_generator)()
-    bits.state = rng.bit_generator.state
-    bits.advance(k)
-    return np.random.Generator(bits)
 
 
 def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, rng):
@@ -228,30 +218,24 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
     own step is big, and the argmax leaf's biggest step is its own if its |X|
     is strictly above its parent's, else its parent's.
 
-    The draws equal those of one :func:`draw_generation` call: each chunk
-    draws its first batch from ``rng`` and its second from a copy of ``rng``
-    started past the whole generation's first batch, and ``rng`` ends where
-    the second batch leaves it.  A generation of one chunk draws as that call.
+    The draws equal those of one :func:`draw_generation` call, with any bit
+    generator: :func:`brood_flat` draws one uniform per step, so the chunks'
+    consecutive draws take the values of one batched draw and leave ``rng``
+    where it would.
     """
     n = config.n
     thr_jump = config.jump_eta * b
     thr_big = config.retain_delta * b
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    bounds, second = (0, counts.size), None
-    if total > LEAF_CHUNK:
-        skip = first_batch_size(config.disp, counts.size, total)
-        # without a skip-ahead the second batch cannot start before the first ends
-        if not skip or isinstance(rng.bit_generator, _SKIPPABLE):
-            bounds = _chunk_bounds(ends, LEAF_CHUNK)
-            second = _skipped(rng, skip) if skip else None
+    bounds = _chunk_bounds(ends, LEAF_CHUNK)
     big_leaves = two_jump_leaves = 0
     arg_value = max_leaf_jump_gen = None
     retained, tops, bottoms = [], [], []
     for lo_parent, hi_parent in zip(bounds[:-1], bounds[1:]):
         brood = counts[lo_parent:hi_parent]
         first_leaf = int(ends[lo_parent - 1]) if lo_parent else 0
-        x = brood_flat(config.disp, brood, rng, second)
+        x = brood_flat(config.disp, brood, rng)
         leaf = np.repeat(pos[lo_parent:hi_parent], brood)
         leaf += x
         # the displacements are ours (see brood_flat): |x| overwrites them
@@ -283,11 +267,6 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
         # copies, so that no chunk outlives its reduction
         tops.append(leaf[leaf.size - k :].copy())
         bottoms.append(leaf[:k].copy())
-    if second is not None:
-        # the state proper: advance() would also drop a buffered 32-bit value
-        state = rng.bit_generator.state
-        state["state"] = second.bit_generator.state["state"]
-        rng.bit_generator.state = state
 
     hist[n] = big_leaves
     diags = Diagnostics(

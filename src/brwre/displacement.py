@@ -27,6 +27,9 @@ MODES = ("iid", "full_dep", "discrete_angular")
 
 _MARGINAL_TOL = 1e-9
 
+# the sign of each sign category: [0, p) positive, [p, 1) negative
+_SIGNS = np.array([1.0, -1.0])
+
 
 @dataclass(frozen=True)
 class DisplacementModel:
@@ -45,8 +48,18 @@ class DisplacementModel:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "discrete_angular":
             self._validate_angular()
+            weights = np.asarray(self.weights, dtype=float)
+            weights = weights / weights.sum()
         elif self.atoms or self.weights:
             raise ValueError("atoms/weights only apply to discrete_angular mode")
+        else:
+            # the two sign categories, see _SIGNS
+            weights = (self.p, 1.0 - self.p)
+        # the inversion table of :func:`_invert`: the cut points, and the upper
+        # end and width of each category's interval of [0, 1)
+        cuts = cut_points(weights)[0]
+        tops = np.append(cuts, 1.0)
+        object.__setattr__(self, "_table", (cuts, tops, np.diff(tops, prepend=0.0)))
 
     def _validate_angular(self):
         atoms = np.asarray(self.atoms, dtype=float)
@@ -69,7 +82,6 @@ class DisplacementModel:
         bal = weights @ np.clip(atoms, 0.0, None) ** a
         if np.any(np.abs(bal - self.p) > _MARGINAL_TOL):
             raise ValueError(f"per-coordinate balance {bal} differs from p={self.p}")
-        object.__setattr__(self, "_atom_cuts", cut_points(weights / weights.sum())[0])
 
     @classmethod
     def iid(cls, alpha: float, p: float) -> "DisplacementModel":
@@ -144,7 +156,21 @@ class DisplacementModel:
         return np.asarray(self.atoms, dtype=float)
 
     def draw_atoms(self, rng, size: int) -> np.ndarray:
-        return np.searchsorted(self._atom_cuts, rng.random(size), side="right")
+        return np.searchsorted(self._table[0], rng.random(size), side="right")
+
+
+def _invert(table: tuple, u: np.ndarray) -> np.ndarray:
+    """Inversion within a ``(cuts, tops, widths)`` table (Devroye 1986,
+    III.2): the category of each uniform in ``u``, and in place in ``u`` the
+    uniform rescaled within its category, ``(top - u) / width``, which lies
+    in (0, 1] and is independent of the category."""
+    cuts, tops, widths = table
+    # one cut (the two signs) takes one comparison, several times cheaper
+    # than the search
+    cat = (u >= cuts[0]).astype(np.intp) if cuts.size == 1 else np.searchsorted(cuts, u, side="right")
+    np.subtract(tops[cat], u, out=u)
+    u /= widths[cat]
+    return cat
 
 
 def norming_constant(pi_n: float, alpha: float) -> float:
@@ -158,8 +184,8 @@ def norming_constant(pi_n: float, alpha: float) -> float:
     return max(1.0, pi_n ** (1.0 / alpha))
 
 
-def _pareto_magnitudes(size: int, inv_alpha: float, rng) -> np.ndarray:
-    u = rng.random(size)
+def _pareto(u: np.ndarray, inv_alpha: float) -> np.ndarray:
+    """``u ** -inv_alpha``, in place."""
     if inv_alpha == 0.5:
         # reciprocal square root is far cheaper than a general power
         np.sqrt(u, out=u)
@@ -169,32 +195,18 @@ def _pareto_magnitudes(size: int, inv_alpha: float, rng) -> np.ndarray:
     return u
 
 
-def _apply_signs(mags: np.ndarray, p: float, rng) -> np.ndarray:
-    if p >= 1.0:
-        return mags
-    if p <= 0.0:
-        np.negative(mags, out=mags)
-        return mags
-    np.negative(mags, out=mags, where=rng.random(mags.size) >= p)
-    return mags
-
-
-def brood_flat(model: DisplacementModel, counts: np.ndarray, rng, second=None) -> np.ndarray:
+def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
     """Displacements for all children of one generation, parent by parent.
 
     ``counts[i]`` children for parent i; the result is flat, ordered by parent
     then within-brood rank.  The rng consumption order is part of the
     replay/oracle contract: counts first (by the caller), then one batched
-    draw of :func:`first_batch_size` uniforms (iid magnitudes; full_dep
-    magnitudes; angular atoms), then, where applicable, one batched draw of
-    the same size (iid or full_dep signs; angular radii).  The second batch
-    comes from ``second``, which defaults to ``rng``.
-
-    Chunking keeps that contract: consecutive ``Generator.random`` calls
-    return the values of one batched call, so a generation drawn brood-aligned
-    chunk by chunk, with ``rng`` for every first batch and for every second
-    batch a ``second`` generator that starts :func:`first_batch_size` uniforms
-    of the whole generation past ``rng``, gets the values of one call.
+    draw of one uniform per step: per child for iid, per parent for full_dep
+    and angular.  Each uniform's :func:`_invert` category is the sign (iid,
+    full_dep) or the atom (angular), and its residual gives the Pareto
+    magnitude or radius; at p = 1 or p = 0 the uniform itself is the magnitude.  So a
+    generation drawn brood-aligned chunk by chunk takes the values of one
+    call, with any bit generator.
 
     The result is a fresh array that no one else references, so the caller
     may overwrite it (the simulator writes |x| into it).
@@ -202,35 +214,28 @@ def brood_flat(model: DisplacementModel, counts: np.ndarray, rng, second=None) -
     counts = np.asarray(counts, dtype=np.int64)
     total = int(counts.sum())
     inv_alpha = 1.0 / model.alpha
-    second = rng if second is None else second
-    if model.mode == "iid":
-        return _apply_signs(_pareto_magnitudes(total, inv_alpha, rng), model.p, second)
-    if model.mode == "full_dep":
-        vals = _apply_signs(_pareto_magnitudes(counts.size, inv_alpha, rng), model.p, second)
-        return np.repeat(vals, counts)
-    # discrete_angular
+    if model.mode != "discrete_angular":
+        u = rng.random(total if model.mode == "iid" else counts.size)
+        side = _invert(model._table, u) if 0.0 < model.p < 1.0 else None
+        x = _pareto(u, inv_alpha)
+        if side is not None:
+            x *= _SIGNS[side]
+        elif model.p <= 0.0:
+            np.negative(x, out=x)
+        return x if model.mode == "iid" else np.repeat(x, counts)
     k = model.n_coords
     if counts.size and counts.max() > k:
         raise ValueError(
             f"brood of size {int(counts.max())} exceeds the {k} angular coordinates"
         )
-    atom_idx = model.draw_atoms(rng, counts.size)
-    radii = model.radial_floor * _pareto_magnitudes(counts.size, inv_alpha, second)
+    u = rng.random(counts.size)
+    atom_idx = _invert(model._table, u)
+    radii = model.radial_floor * _pareto(u, inv_alpha)
     parent = np.repeat(np.arange(counts.size), counts)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     rank = np.arange(total) - np.repeat(starts, counts)
     atoms = model.atom_matrix()
     return radii[parent] * atoms[atom_idx[parent], rank]
-
-
-def first_batch_size(model: DisplacementModel, n_parents: int, n_children: int) -> int:
-    """Uniforms :func:`brood_flat` draws before its second batch, or 0 when it
-    draws one batch only (iid or full_dep with p = 0 or p = 1)."""
-    if model.mode == "discrete_angular":
-        return n_parents
-    if not 0.0 < model.p < 1.0:
-        return 0
-    return n_children if model.mode == "iid" else n_parents
 
 
 def sample_brood(model: DisplacementModel, v: int, rng) -> np.ndarray:

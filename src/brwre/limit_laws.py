@@ -132,15 +132,15 @@ def _totals(law, rng, z: np.ndarray) -> np.ndarray:
     return np.array([law.sample_total(rng, int(z[0]))]) if z.size == 1 else law.sample_total(rng, z)
 
 
-def _population_walk(support, laws: np.ndarray, stop: int, rng, lengths=None) -> Tuple[np.ndarray, np.ndarray]:
+def _population_walk(support, laws: np.ndarray, stop: int, rng, lengths) -> Tuple[np.ndarray, np.ndarray]:
     """Count-level Z of each row of the law-index matrix ``laws``, one
-    generation per column, root first, over ``lengths[r]`` columns of row r
-    (every column by default); a row stops early once Z is 0 or reaches
-    ``stop``.  Returns Z and the generations each row walked."""
+    generation per column, root first, over ``lengths[r]`` columns of row r;
+    a row stops early once Z is 0 or reaches ``stop``.  Returns Z and the
+    generations each row walked."""
     n, width = laws.shape
     z = np.ones(n, dtype=np.int64)
-    walked = np.full(n, width, dtype=np.intp) if lengths is None else np.array(lengths, dtype=np.intp)
-    live = np.arange(n) if lengths is None else np.flatnonzero(walked)
+    walked = np.array(lengths, dtype=np.intp)
+    live = np.flatnonzero(walked)
     for g in range(width):
         if not live.size:
             break
@@ -153,9 +153,7 @@ def _population_walk(support, laws: np.ndarray, stop: int, rng, lengths=None) ->
                 sel = col == k
                 zl[sel] = _totals(law, rng, zl[sel])
         z[live] = zl
-        keep = (zl > 0) & (zl < stop)
-        if lengths is not None:
-            keep &= walked[live] > g + 1
+        keep = (zl > 0) & (zl < stop) & (walked[live] > g + 1)
         if np.count_nonzero(keep) < live.size:
             walked[live[~keep]] = g + 1
             live = live[keep]
@@ -327,7 +325,7 @@ def sample_martingale_limit(
 
     def attempt(rows: np.ndarray) -> np.ndarray:
         laws = model.draw_indices(rng, (rows.size, m))
-        z, g = _population_walk(model.support, laws, _FREEZE_POPULATION, rng)
+        z, g = _population_walk(model.support, laws, _FREEZE_POPULATION, rng, np.full(rows.size, m))
         alive = z > 0
         if np.count_nonzero(alive):
             pi = np.cumprod(model._means[laws[alive]], axis=1)
@@ -375,25 +373,20 @@ class ClusterSampler:
         self._size_table = _row_cuts(terms)
         self._vec_table = _row_cuts(_series_terms("_inverse_mean_next", stream, cfg)[1])
 
-    def _draw_size(self, rows: np.ndarray, gens: np.ndarray, rng, conditioned: bool) -> np.ndarray:
-        """Z_{gens[k]} under row ``rows[k]`` by the count-level population walk,
-        each conditioned on >= 1 if asked: the dead walks are redone."""
-        if not conditioned:
-            return self.stream.simulate_population(rows, gens, rng)
-        sizes = np.zeros(rows.size, dtype=np.int64)
-
-        def attempt(todo: np.ndarray) -> np.ndarray:
-            sizes[todo] = self.stream.simulate_population(rows[todo], gens[todo], rng)
-            return sizes[todo] > 0
-
-        _in_rounds(attempt, rows.size, "cluster size draw")
-        return sizes
-
     def sample_size(self, rng, rows=None):
         """The number of final-generation descendants of one big jump per row
-        of ``rows``."""
+        of ``rows``: a generation i from the row's size table, then Z_i by
+        the count-level population walk, conditioned on >= 1 (the dead walks
+        are redone)."""
         r = _one_or_rows(rows)
-        sizes = self._draw_size(r, _draw_categories(self._size_table, r, rng), rng, conditioned=True)
+        gens = _draw_categories(self._size_table, r, rng)
+        sizes = np.zeros(r.size, dtype=np.int64)
+
+        def attempt(todo: np.ndarray) -> np.ndarray:
+            sizes[todo] = self.stream.simulate_population(r[todo], gens[todo], rng)
+            return sizes[todo] > 0
+
+        _in_rounds(attempt, r.size, "cluster size draw")
         return int(sizes[0]) if rows is None else sizes
 
     def sample_brood_vector(self, rng, rows=None):

@@ -332,7 +332,7 @@ def test_first_argmax_across_chunks(monkeypatch):
     # unit displacements make the leaves of parents 0 and 2 tie for the
     # maximum in different chunks: the first one's path is reported
     monkeypatch.setattr(brw, "LEAF_CHUNK", 2)
-    monkeypatch.setattr(brw, "brood_flat", lambda model, counts, rng, second=None: np.ones(int(counts.sum())))
+    monkeypatch.setattr(brw, "brood_flat", lambda model, counts, rng: np.ones(int(counts.sum())))
     cfg = SimConfig(n=3, env=BINARY, disp=IID21, seed=0)
     best = (np.array([2.0, 0.5, 3.0]), np.array([1, 2, 2], dtype=np.int16))
     atoms, top, bottom, diags = brw._reduce_leaves(
@@ -357,17 +357,22 @@ CHUNKED_MODELS = [
 ]
 
 
-@pytest.mark.parametrize("disp, env", CHUNKED_MODELS, ids=lambda v: getattr(v, "mode", ""))
-@pytest.mark.parametrize("chunk", [7, 1])
-def test_chunked_leaves_equal_naive(disp, env, chunk, monkeypatch):
-    # every replication crosses many chunk edges, chunk 1 cuts after every
-    # brood, and broods of two or more are larger than it
-    monkeypatch.setattr(brw, "LEAF_CHUNK", chunk)
-    seconds = []
+# bit generators without a skip-ahead (``advance``), beside PCG64
+UNSKIPPABLE = (np.random.MT19937, np.random.SFC64, np.random.Philox)
 
-    def traced_brood_flat(model, counts, rng, second=None):
-        seconds.append(second is not None)
-        return brood_flat(model, counts, rng, second)
+
+@pytest.mark.parametrize("disp, env", CHUNKED_MODELS, ids=lambda v: getattr(v, "mode", ""))
+@pytest.mark.parametrize("chunk", [7, 1, 1 << 17])
+def test_chunked_leaves_equal_naive(disp, env, chunk, monkeypatch):
+    # every replication crosses many chunk edges at chunk 7, chunk 1 cuts
+    # after every brood, and broods of two or more are larger than it; at
+    # 2^17 every leaf generation is one chunk
+    monkeypatch.setattr(brw, "LEAF_CHUNK", chunk)
+    calls = []
+
+    def traced_brood_flat(model, counts, rng):
+        calls.append(counts.size)
+        return brood_flat(model, counts, rng)
 
     monkeypatch.setattr(brw, "brood_flat", traced_brood_flat)
     for n, track in ((6, True), (5, False), (1, True)):
@@ -377,31 +382,39 @@ def test_chunked_leaves_equal_naive(disp, env, chunk, monkeypatch):
             fast, slow = simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng)
             assert outcomes_equal(fast, slow), (n, track, r)
             assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-    # a few dozen calls draw inner generations, the rest leaf chunks; a model
-    # with a second batch draws it from the skipped-ahead generator
-    assert len(seconds) > 100
-    assert any(seconds) == (0.0 < disp.p < 1.0 or disp.mode == "discrete_angular")
+        bits = UNSKIPPABLE[n % len(UNSKIPPABLE)]
+        fast_rng, slow_rng = (np.random.Generator(bits(13)) for _ in range(2))
+        assert outcomes_equal(simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng)), bits
+        np.testing.assert_equal(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
+    # a few dozen calls draw inner generations, the rest leaf chunks
+    assert len(calls) > (100 if chunk < 100 else 20)
 
 
 def test_chunked_stream_ends_where_the_batched_draws_leave_it(monkeypatch):
-    # survival restarts draw new environments and trees from the same stream
+    # survival restarts draw new environments and trees from the same stream,
+    # and chunks take the batched values with any bit generator
     monkeypatch.setattr(brw, "LEAF_CHUNK", 7)
-    for disp in (IID21, DisplacementModel.iid(2.0, 0.4), DisplacementModel.full_dep(2.0, 0.5)):
-        cfg = SimConfig(n=4, env=EnvironmentModel.single(Poisson(1.2)), disp=disp, seed=3)
-        restarts = 0
-        for r in range(20):
-            fast_rng, slow_rng = replication_rng(3, r), replication_rng(3, r)
-            fast, slow = simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng)
-            assert outcomes_equal(fast, slow)
-            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-            restarts += fast.restarts
-        assert restarts > 0
-    # a generator without a skip-ahead draws the leaf generation in one chunk
+    models = (IID21, DisplacementModel.iid(2.0, 0.4), DisplacementModel.full_dep(2.0, 0.5),
+              DisplacementModel.diagonal_angular(2.0, 3, 0.5))
+    for disp in models:
+        env = EnvironmentModel.single(Binomial(3, 0.4) if disp.n_coords else Poisson(1.2))
+        cfg = SimConfig(n=4, env=env, disp=disp, seed=3)
+        for bits in (np.random.PCG64, *UNSKIPPABLE):
+            restarts = 0
+            for r in range(20):
+                fast_rng, slow_rng = (np.random.Generator(bits(np.random.SeedSequence((3, r)))) for _ in range(2))
+                fast, slow = simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng)
+                assert outcomes_equal(fast, slow), (disp.mode, bits, r)
+                np.testing.assert_equal(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
+                restarts += fast.restarts
+            assert restarts > 0, (disp.mode, bits)
+    # the leaf generation of a mixture tree spans many chunks
     cfg = SimConfig(n=5, env=MIXTURE, disp=DisplacementModel.iid(2.0, 0.4), seed=3)
     fast_rng, slow_rng = (np.random.Generator(np.random.MT19937(3)) for _ in range(2))
-    assert outcomes_equal(simulate(cfg, fast_rng), simulate_naive(cfg, slow_rng))
-    fast_state, slow_state = (g.bit_generator.state["state"] for g in (fast_rng, slow_rng))
-    assert fast_state["pos"] == slow_state["pos"] and np.array_equal(fast_state["key"], slow_state["key"])
+    fast = simulate(cfg, fast_rng)
+    assert fast.z[-1] > 10 * brw.LEAF_CHUNK
+    assert outcomes_equal(fast, simulate_naive(cfg, slow_rng))
+    np.testing.assert_equal(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
 
 
 def test_threaded_replications_match_serial():

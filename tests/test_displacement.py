@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as st
 
 from brwre.displacement import (
     DisplacementModel,
-    _apply_signs,
     brood_flat,
     exceedance_masses,
     norming_constant,
@@ -52,15 +52,64 @@ def test_iid_signed_balance(rng):
     assert abs((np.abs(x) > 4.0).mean() - 4.0 ** -1.5) < 3 * math.sqrt(4.0 ** -1.5 / x.size)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_one_sided_draws_are_the_plain_pareto_stream(alpha):
+    # at p = 1 and p = 0 the uniform is the magnitude itself: iid steps are
+    # +/- u^(-1/alpha) (1/sqrt(u) at alpha = 2), full_dep ones repeat them
+    counts = np.array([1, 2, 0, 3] * 250, dtype=np.int64)
+    for mode, units in (("iid", int(counts.sum())), ("full_dep", counts.size)):
+        for p, sign in ((1.0, 1.0), (0.0, -1.0)):
+            rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+            x = brood_flat(DisplacementModel(alpha, p, mode), counts, rng)
+            u = ref.random(units)
+            want = sign * (1.0 / np.sqrt(u) if alpha == 2.0 else u ** (-1.0 / alpha))
+            want = want if mode == "iid" else np.repeat(want, counts)
+            assert np.array_equal(x.view(np.int64), want.view(np.int64)), (mode, p)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", ["iid", "full_dep"])
 @pytest.mark.parametrize("p", [0.3, 0.5])
-def test_sign_flip_in_place_matches_masked_multiply(p):
-    # _apply_signs negates in place where the sign uniform is >= p; the
-    # masked multiply it replaced gives the same array, signed zeros included
-    mags = np.concatenate([np.random.default_rng(1).random(10_000) + 1.0, [0.0, 0.0]])
-    expect = mags.copy()
-    expect[np.random.default_rng(2).random(expect.size) >= p] *= -1.0
-    got = _apply_signs(mags.copy(), p, np.random.default_rng(2))
-    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+def test_sign_and_magnitude_laws(mode, p, rng):
+    # the side of the step's uniform is the sign, its residual the magnitude:
+    # side frequency p, an exact Pareto tail on each side, and sign
+    # independent of {|X| > 2}.  The 2x2 table's level, 0.001 per case, was
+    # fixed before the run
+    model = DisplacementModel(1.5, p, mode)
+    n = 400_000
+    x = brood_flat(model, np.ones(n, dtype=np.int64), rng)
+    positive = x > 0.0
+    assert abs(positive.mean() - p) < 3 * math.sqrt(p * (1 - p) / n)
+    for side in (positive, ~positive):
+        mags = np.abs(x[side])
+        assert mags.min() >= 1.0
+        for t in (1.5, 4.0, 20.0):
+            pt = t ** -1.5
+            assert abs((mags > t).mean() - pt) < 3 * math.sqrt(pt * (1 - pt) / mags.size)
+    big = np.abs(x) > 2.0
+    table = np.array([[np.count_nonzero(s & b) for b in (big, ~big)] for s in (positive, ~positive)])
+    expect = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / n
+    assert ((table - expect) ** 2 / expect).sum() < st.chi2.ppf(1.0 - 0.001, 1)
+
+
+def test_angular_atom_frequencies_and_radius_tails(rng):
+    # one uniform per parent: its category is the atom, with frequency the
+    # atom's weight share, and its residual an exact Pareto radius above
+    # the floor under every atom
+    atoms = np.array([[0.6, 0.8], [0.8, 0.6], [-0.6, -0.8], [-0.8, -0.6]])
+    model = DisplacementModel.discrete_angular(2.0, atoms, [2.0, 2.0, 1.0, 1.0])
+    n = 600_000
+    x = brood_flat(model, np.full(n, 2, dtype=np.int64), rng).reshape(n, 2)
+    radii = np.hypot(x[:, 0], x[:, 1])
+    atom = np.argmax(x @ atoms.T / radii[:, None], axis=1)
+    assert radii.min() >= model.radial_floor * (1.0 - 1e-12)
+    for k, share in enumerate((1 / 3, 1 / 3, 1 / 6, 1 / 6)):
+        mine = atom == k
+        assert abs(mine.mean() - share) < 3 * math.sqrt(share * (1 - share) / n)
+        r = radii[mine] / model.radial_floor
+        for t in (1.5, 4.0):
+            pt = t ** -2.0
+            assert abs((r > t).mean() - pt) < 3 * math.sqrt(pt * (1 - pt) / r.size)
 
 
 def test_axis_atoms_single_nonzero(rng):

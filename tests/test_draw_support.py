@@ -5,7 +5,7 @@ between the last cumulative weight and the uniform."""
 import numpy as np
 import pytest
 
-from brwre.displacement import DisplacementModel, brood_flat
+from brwre.displacement import DisplacementModel, _invert, _pareto, brood_flat
 from brwre.environment import EnvironmentModel, sample_env
 from brwre.limit_laws import ClusterSampler, EnvStream, LimitConfig, cluster_norm_series
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
@@ -84,10 +84,55 @@ def test_angular_atom_draws_stay_in_support():
     w = np.asarray(model.weights)
     assert np.cumsum(w / w.sum())[-1] == TopUniform.u  # the rounding edge itself
     assert model.draw_atoms(TOP, 4).tolist() == [2] * 4
-    # every parent gets the last atom, coordinate by brood rank
+    # every parent gets the last atom, coordinate by brood rank, and the
+    # radius of the residual (1 - u) / (1 - last cut), the smallest there is
     x = brood_flat(model, np.array([2, 1]), TOP)
-    radius = model.radial_floor / np.sqrt(TopUniform.u)
+    residual = (1.0 - TopUniform.u) / (1.0 - model._table[0][-1])
+    radius = model.radial_floor * (1.0 / np.sqrt(residual))
+    assert np.isfinite(radius) and radius >= model.radial_floor
     assert np.array_equal(x, radius * model.atom_matrix()[2, [0, 1, 0]])
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.999])
+def test_sign_draw_edges(p):
+    # one uniform per step: [0, p) is the positive side, [p, 1) the negative
+    # one, and the residual (top - u) / width in (0, 1] is the magnitude's
+    # uniform; it is 1 at each side's lower end
+    u = np.array([0.0, np.nextafter(p, 0.0), p, np.nextafter(p, 1.0), TopUniform.u])
+    for model in (DisplacementModel.iid(2.0, p), DisplacementModel.full_dep(1.5, p)):
+        residual = u.copy()
+        side = _invert(model._table, residual)
+        assert side.tolist() == [0, 0, 1, 1, 1]
+        assert np.all((residual > 0.0) & (residual <= 1.0))
+        assert residual[0] == residual[2] == 1.0
+        x = brood_flat(model, np.ones(u.size, dtype=np.int64), FixedUniforms(u))
+        assert np.array_equal(x > 0.0, u < p)
+        assert np.all(np.isfinite(x)) and np.all(np.abs(x) >= 1.0)
+        assert np.abs(x)[[0, 2]].tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("n_atoms", [4, 2])
+def test_angular_draw_edges(n_atoms):
+    # each cut and its neighbours: the cut opens the next atom with residual
+    # 1, the radial floor itself; every radius is finite and at least the floor
+    d = np.full(2, 2 ** -0.5)
+    atoms, weights = [d, -d, [0.6, 0.8], [0.8, 0.6]][:n_atoms], [0.95, 0.313, 0.424, 0.424][:n_atoms]
+    model = DisplacementModel.discrete_angular(2.0, atoms, weights)
+    cuts = model._table[0]
+    assert cuts.size == n_atoms - 1
+    u = np.concatenate(([0.0, TopUniform.u], cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0)))
+    residual = u.copy()
+    atom = _invert(model._table, residual)
+    assert np.array_equal(atom, np.searchsorted(cuts, u, side="right"))
+    lows = np.append(0.0, cuts)[atom]
+    tops = np.append(cuts, 1.0)[atom]
+    assert np.all((lows <= u) & (u < tops))
+    assert np.all((residual > 0.0) & (residual <= 1.0))
+    assert np.all(residual[[0, *range(2, 2 + cuts.size)]] == 1.0)
+    x = brood_flat(model, np.full(u.size, 2), FixedUniforms(u)).reshape(u.size, 2)
+    radii = model.radial_floor * _pareto(residual, 0.5)
+    assert np.all(np.isfinite(radii)) and np.all(radii >= model.radial_floor)
+    assert np.array_equal(x, radii[:, None] * model.atom_matrix()[atom])
 
 
 def test_cluster_sampler_draws_stay_in_support():
@@ -100,7 +145,6 @@ def test_cluster_sampler_draws_stay_in_support():
     v, sizes = sampler.sample_brood_vector(TOP)
     last = cluster_norm_series("_inverse_mean_next", stream, cfg).terms_used - 1
     assert v == 2 and sizes.tolist() == [2 ** last] * 2
-    # the population walk gives Z_i = 2^i, conditioned or not
+    # the population walk gives Z_i = 2^i
     for i in (1, 3, 6):
-        for conditioned in (False, True):
-            assert sampler._draw_size(np.array([0]), np.array([i]), TOP, conditioned).tolist() == [2 ** i]
+        assert stream.simulate_population(np.array([0]), np.array([i]), TOP).tolist() == [2 ** i]

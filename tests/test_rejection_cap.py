@@ -99,20 +99,24 @@ def _dying_walks(monkeypatch, keep=()):
 
 
 def test_cluster_size_draw_gives_up(small_cap, monkeypatch, rng):
-    # a conditioned size draw repeats the population walk until Z_i >= 1,
-    # and a walk that always dies out never gets there
+    # a size draw repeats the population walk until Z_i >= 1, and a walk
+    # that always dies out never gets there; the generations i are fixed here
     sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
     calls = _dying_walks(monkeypatch, keep=(2,))
+    gens = [np.array([3]), np.array([3, 2, 5])]
+    draw_categories = limit_laws._draw_categories
+    monkeypatch.setattr(limit_laws, "_draw_categories", lambda table, rows, rng: gens.pop(0))
     with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
-        sampler._draw_size(np.array([0]), np.array([3]), rng, conditioned=True)
+        sampler.sample_size(rng)
     assert calls == [([0], [3])] * CAP
     # in a block, each round redoes only the draws that died: here the one
     # at generation 2 survives its first walk.  After a round that accepts
     # none, only the first dead draw is redone
     calls.clear()
     with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
-        sampler._draw_size(np.zeros(3, dtype=int), np.array([3, 2, 5]), rng, conditioned=True)
+        sampler.sample_size(rng, np.zeros(3, dtype=int))
     assert calls == [([0, 0, 0], [3, 2, 5]), ([0, 0], [3, 5])] + [([0], [3])] * (CAP - 2)
+    monkeypatch.setattr(limit_laws, "_draw_categories", draw_categories)
     _dying_walks(monkeypatch)
     with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
         sampler.sample_size(rng)

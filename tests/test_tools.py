@@ -65,7 +65,8 @@ def test_output_digests_derives_uncovered_scenarios(tmp_path):
         "discrete_angular", "discrete_angular", "discrete_angular", "full_dep", "full_dep", "iid", "iid", "iid", "iid",
     ]
     # binary trees of 2^18 leaves fill two simulator chunks, each of which
-    # draws a second batch (p < 1 or angular), in every mode
+    # splits its uniforms into signs and magnitudes (p < 1) or atoms and
+    # radii (angular), in every mode
     wide = [cfg for cfg in cfgs if cfg.simulation.n == (18,)]
     assert 2**18 >= 2 * brw.LEAF_CHUNK
     assert sorted(cfg.displacement.mode for cfg in wide) == ["discrete_angular", "full_dep", "iid"]

@@ -69,8 +69,8 @@ def derived_configs(directory: str) -> list:
     write NaN summary fields and no atom rows; and the binary config is run
     at n = 18 with iid, fully dependent and diagonal angular displacements,
     all with p = 1/2: its 2^18 leaves span two chunks of the streaming
-    simulator (``brw.LEAF_CHUNK``), whose second batches (signs, radii) come
-    from a generator started ahead of the first.
+    simulator (``brw.LEAF_CHUNK``), each of which splits its uniforms into
+    signs and magnitudes (angular: atoms and radii).
     Returns the YAML paths.
     """
     base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
