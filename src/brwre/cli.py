@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 from typing import List, Optional
 
 import numpy as np
@@ -270,19 +271,16 @@ def cmd_diagnostics(cfg: ExperimentConfig, reps: Optional[int], threads: int) ->
     return 0
 
 
-def _thread_count(raw: str) -> int:
-    """``--threads`` or ``$BRWRE_THREADS`` as a worker count >= 1.
-
-    Raises ConfigError, which argparse lets through, so that a bad value
-    exits 2 with the JSON record instead of a usage message.
-    """
+def _int_flag(flag: str, least: int, raw: str) -> int:
+    """The value of an integer flag as an int >= ``least``.  A bad value raises
+    ConfigError, which argparse lets through: exit 2 with the JSON record."""
     try:
-        threads = int(raw)
-        if threads >= 1:
-            return threads
+        value = int(raw)
+        if value >= least:
+            return value
     except ValueError:
         pass
-    raise ConfigError(f"--threads and $BRWRE_THREADS must be an integer >= 1, got {raw!r}")
+    raise ConfigError(f"{flag} must be an integer >= {least}, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("check", "simulate", "limit", "compare", "diagnostics"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment configuration (YAML)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=partial(_int_flag, "--seed", 0), default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--reps", type=int, default=None, help="override replication counts")
+        p.add_argument("--reps", type=partial(_int_flag, "--reps", 1), default=None, help="override replication counts")
         p.add_argument(
             "--threads",
-            type=_thread_count,
+            type=partial(_int_flag, "--threads and $BRWRE_THREADS", 1),
             # a string default goes through ``type`` when the flag is absent
             default=os.environ.get("BRWRE_THREADS", "1"),
             help="worker processes for replication batches (default $BRWRE_THREADS or 1)",
@@ -310,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.reps is not None and args.reps < 1:
-            raise ConfigError(f"--reps must be >= 1, got {args.reps}")
         cfg = load_config(args.config, seed=args.seed, output_dir=args.out)
         if args.command == "check":
             return cmd_check(cfg)

@@ -199,6 +199,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             seed=_integral(doc.get("seed", 0), "seed"),
             output_dir=str(doc.get("output_dir", "out")),
         )
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         # the simulator's own rules, so that every accepted config also simulates
         for n in cfg.simulation.n:
             cfg.sim_config(n)

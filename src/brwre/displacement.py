@@ -18,6 +18,7 @@ the limit process, then have the closed forms of :func:`exceedance_masses`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -155,9 +156,6 @@ class DisplacementModel:
     def atom_matrix(self) -> np.ndarray:
         return np.asarray(self.atoms, dtype=float)
 
-    def draw_atoms(self, rng, size: int) -> np.ndarray:
-        return np.searchsorted(self._table[0], rng.random(size), side="right")
-
 
 def _invert(table: tuple, u: np.ndarray) -> np.ndarray:
     """Inversion within a ``(cuts, tops, widths)`` table (Devroye 1986,
@@ -195,47 +193,57 @@ def _pareto(u: np.ndarray, inv_alpha: float) -> np.ndarray:
     return u
 
 
+def draw_steps(model: DisplacementModel, size: int, rng) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``size`` steps, one uniform each: a fresh array of Pareto magnitudes
+    u^(-1/alpha) >= 1, signed outside angular mode, and the atom of each step
+    in angular mode (else None).  Each uniform's :func:`_invert` category is
+    the sign or the atom, and its residual gives the magnitude; at p = 1 or
+    p = 0 the uniform itself is the magnitude."""
+    u = rng.random(size)
+    angular = model.mode == "discrete_angular"
+    cat = _invert(model._table, u) if angular or 0.0 < model.p < 1.0 else None
+    x = _pareto(u, 1.0 / model.alpha)
+    if angular:
+        return x, cat
+    if cat is not None:
+        x *= _SIGNS[cat]
+    return (np.negative(x, out=x) if model.p <= 0.0 else x), None
+
+
+def spread_broods(model: DisplacementModel, x: np.ndarray, atom: Optional[np.ndarray], counts) -> np.ndarray:
+    """The broods of the shared steps ``x`` of :func:`draw_steps`, flat: step i
+    for each of the ``counts[i]`` members (full_dep), or times each member's
+    coordinate of ``atom[i]``, by brood rank (angular)."""
+    if atom is None:
+        return np.repeat(x, counts)
+    if counts.size and counts.max() > model.n_coords:
+        raise ValueError(f"brood of size {int(counts.max())} exceeds the {model.n_coords} angular coordinates")
+    parent = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return x[parent] * model.atom_matrix()[atom[parent], rank]
+
+
 def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
     """Displacements for all children of one generation, parent by parent.
 
     ``counts[i]`` children for parent i; the result is flat, ordered by parent
     then within-brood rank.  The rng consumption order is part of the
     replay/oracle contract: counts first (by the caller), then one batched
-    draw of one uniform per step: per child for iid, per parent for full_dep
-    and angular.  Each uniform's :func:`_invert` category is the sign (iid,
-    full_dep) or the atom (angular), and its residual gives the Pareto
-    magnitude or radius; at p = 1 or p = 0 the uniform itself is the magnitude.  So a
-    generation drawn brood-aligned chunk by chunk takes the values of one
-    call, with any bit generator.
+    :func:`draw_steps`, per child for iid and per parent otherwise (angular
+    radius: ``radial_floor`` times the magnitude).  So a generation drawn
+    brood-aligned chunk by chunk takes the values of one call, with any bit
+    generator.
 
     The result is a fresh array that no one else references, so the caller
     may overwrite it (the simulator writes |x| into it).
     """
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    inv_alpha = 1.0 / model.alpha
-    if model.mode != "discrete_angular":
-        u = rng.random(total if model.mode == "iid" else counts.size)
-        side = _invert(model._table, u) if 0.0 < model.p < 1.0 else None
-        x = _pareto(u, inv_alpha)
-        if side is not None:
-            x *= _SIGNS[side]
-        elif model.p <= 0.0:
-            np.negative(x, out=x)
-        return x if model.mode == "iid" else np.repeat(x, counts)
-    k = model.n_coords
-    if counts.size and counts.max() > k:
-        raise ValueError(
-            f"brood of size {int(counts.max())} exceeds the {k} angular coordinates"
-        )
-    u = rng.random(counts.size)
-    atom_idx = _invert(model._table, u)
-    radii = model.radial_floor * _pareto(u, inv_alpha)
-    parent = np.repeat(np.arange(counts.size), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.arange(total) - np.repeat(starts, counts)
-    atoms = model.atom_matrix()
-    return radii[parent] * atoms[atom_idx[parent], rank]
+    if model.mode == "iid":
+        return draw_steps(model, int(counts.sum()), rng)[0]
+    x, atom = draw_steps(model, counts.size, rng)
+    if atom is not None:
+        x *= model.radial_floor
+    return spread_broods(model, x, atom, counts)
 
 
 def sample_brood(model: DisplacementModel, v: int, rng) -> np.ndarray:

@@ -25,7 +25,9 @@ the martingale limit W (frozen once Z reaches 10^12, on one fresh
 ``(rows, w_horizon)`` matrix per round), every cluster size and every
 brood-vector member (stopped past 10^14).  Survival restarts and rejections
 redo only the rows they did not accept, round after round through
-:func:`brwre.errors.first_accepted`.
+:func:`brwre.errors.first_accepted`.  The point process then draws its point
+counts, one step per point (:func:`brwre.displacement.draw_steps`) and the
+clusters, and groups the block's atoms (:func:`brwre.measures.group_by_draw`).
 
 The general route of the mixing scale Q reads the tail measure only through
 the exceedance-count masses of :func:`brwre.displacement.exceedance_masses`:
@@ -40,10 +42,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .displacement import DisplacementModel, exceedance_masses
+from .displacement import DisplacementModel, draw_steps, exceedance_masses, spread_broods
 from .environment import EnvironmentModel, series_tail
 from .errors import ArgumentOrder, NonGeometricGrowth, UnboundedProgenyInGeneralMode, first_accepted
-from .measures import PointMeasure
+from .measures import group_by_draw
 from .offspring import compose_generation
 
 # Population walks for W stop once Z reaches this: the martingale value is
@@ -584,40 +586,26 @@ def sample_limit_point_process(
     w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng, 1 if size is None else size)
     stream = EnvStream(env_model, rng, w.size)
     sampler = ClusterSampler(stream, cfg)
-    inv_alpha = 1.0 / disp.alpha
     if disp.mode == "iid":
         c = sampler.size_norm.value
     else:
         c = cluster_norm_series("cluster_vector", stream, cfg).value
-    scale = (c * w) ** inv_alpha
+    scale = (c * w) ** (1.0 / disp.alpha)
 
     rate = cfg.u_min ** -disp.alpha
     if disp.mode == "discrete_angular":
         rate *= disp.angular_total_mass
     n_pts = rng.poisson(rate, w.size)
     draw = np.repeat(np.arange(w.size), n_pts)  # the draw of every point
-    radii = cfg.u_min * rng.random(draw.size) ** -inv_alpha
+    steps, atom = draw_steps(disp, draw.size, rng)
+    steps *= cfg.u_min
 
-    if disp.mode != "discrete_angular":
-        signs = np.where(rng.random(draw.size) < disp.p, 1.0, -1.0)
-        if disp.mode == "iid":
-            mults = sampler.sample_size(rng, draw)
-        else:
-            v, sizes = sampler.sample_brood_vector(rng, draw)
-            mults = np.zeros(draw.size, dtype=np.int64)
-            np.add.at(mults, np.repeat(np.arange(draw.size), v), sizes)
-        locs = scale[draw] * signs * radii
+    # one atom per brood member, placed as the simulator places a brood; an
+    # iid point is a brood of one that carries its cluster size
+    if disp.mode == "iid":
+        v, mults = np.ones(draw.size, dtype=np.int64), sampler.sample_size(rng, draw)
     else:
-        atom_idx = disp.draw_atoms(rng, draw.size)
         v, mults = sampler.sample_brood_vector(rng, draw)
-        point = np.repeat(np.arange(draw.size), v)
-        rank = np.arange(point.size) - np.repeat(np.cumsum(v) - v, v)
-        coords = disp.atom_matrix()[atom_idx[point], rank]
-        locs = scale[draw[point]] * radii[point] * coords
-        draw = draw[point]
-    # atoms are grouped by draw; from_atoms drops zero multiplicities and locations
-    bounds = np.searchsorted(draw, np.arange(1, w.size))
-    measures = [
-        PointMeasure.from_atoms(*atoms) for atoms in zip(np.split(locs, bounds), np.split(mults, bounds))
-    ]
+    owner = np.repeat(draw, v)
+    measures = group_by_draw(owner, scale[owner] * spread_broods(disp, steps, atom, v), mults, w.size)
     return (measures[0], float(scale[0])) if size is None else (measures, scale)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -41,20 +42,6 @@ class PointMeasure:
         locs, mult = np.unique(values, return_counts=True)
         return cls(locs, mult)
 
-    @classmethod
-    def from_atoms(cls, locations, multiplicities) -> "PointMeasure":
-        """Sort atoms and merge duplicates, dropping zero locations/weights."""
-        locs = np.asarray(locations, dtype=float)
-        mult = np.asarray(multiplicities, dtype=np.int64)
-        keep = (mult >= 1) & (locs != 0.0)
-        locs, mult = locs[keep], mult[keep]
-        if locs.size == 0:
-            return cls.empty()
-        uniq, inverse = np.unique(locs, return_inverse=True)
-        summed = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(summed, inverse, mult)
-        return cls(uniq, summed)
-
     @property
     def n_atoms(self) -> int:
         return int(self.locations.size)
@@ -74,3 +61,21 @@ class PointMeasure:
     def integrate(self, values: np.ndarray) -> float:
         """Sum of multiplicity-weighted function values, one per atom."""
         return float(np.asarray(values) @ self.multiplicities)
+
+
+def group_by_draw(draws, locations, multiplicities, size: int) -> List[PointMeasure]:
+    """One measure per draw 0..size-1 of the atoms ``(draws[i], locations[i],
+    multiplicities[i])``, by one sort on (draw, location): atoms of one draw at
+    one location merge, and atoms at 0 or of multiplicity 0 drop out."""
+    draws = np.asarray(draws, dtype=np.intp)
+    locs = np.asarray(locations, dtype=float)
+    mult = np.asarray(multiplicities, dtype=np.int64)
+    keep = (mult > 0) & (locs != 0.0)
+    order = np.lexsort((locs[keep], draws[keep]))
+    draws, locs, mult = draws[keep][order], locs[keep][order], mult[keep][order]
+    first = np.ones(draws.size, dtype=bool)
+    first[1:] = (draws[1:] != draws[:-1]) | (locs[1:] != locs[:-1])
+    start = np.flatnonzero(first)
+    locs, mult = locs[start], np.add.reduceat(mult, start)
+    bounds = np.searchsorted(draws[start], np.arange(1, size))
+    return [PointMeasure(*atoms) for atoms in zip(np.split(locs, bounds), np.split(mult, bounds))]

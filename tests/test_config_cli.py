@@ -211,10 +211,24 @@ def test_invalid_configs_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
     path.write_text(yaml.safe_dump(config_to_dict(small_config())))
     for command in ("simulate", "limit"):
-        for reps in ("-3", "0"):
+        for reps in ("-3", "0", "abc", "2.5"):
             capsys.readouterr()
             assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), "--reps", reps]) == 2
             assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    # a seed is an integer >= 0, in the config as on the command line
+    doc = config_to_dict(small_config())
+    doc["seed"] = -1
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict(doc)
+    bad_seed = tmp_path / "bad_seed.yaml"
+    bad_seed.write_text(yaml.safe_dump(doc))
+    runs = [[str(bad_seed)]] + [[str(path), "--seed", seed] for seed in ("-1", "abc", "2.5")]
+    for args in runs:
+        for command in ("check", "simulate", "limit", "compare"):
+            capsys.readouterr()
+            assert main([command, "--out", str(tmp_path / "out"), "--config"] + args) == 2
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["error"] == "ConfigError" and not captured.err
 
 
 def write_config(tmp_path, cfg) -> str:
@@ -594,7 +608,8 @@ def test_threads_default_from_environment(monkeypatch, tmp_path, capsys):
     # a worker count that is not an integer >= 1 is a configuration error,
     # from the environment as from the flag; none of these starts a worker
     path = write_config(tmp_path, small_config(output_dir=str(tmp_path / "out")))
-    for env, flag in (("two", []), ("0", []), ("1", ["--threads", "-3"]), ("1", ["--threads", "0"])):
+    flags = [["--threads", value] for value in ("-3", "0", "abc", "2.5")]
+    for env, flag in [("two", []), ("0", [])] + [("1", flag) for flag in flags]:
         monkeypatch.setenv("BRWRE_THREADS", env)
         for command in ("check", "simulate"):
             capsys.readouterr()

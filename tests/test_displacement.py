@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
+from brwre import limit_laws
 from brwre.displacement import (
     DisplacementModel,
     brood_flat,
@@ -12,6 +13,10 @@ from brwre.displacement import (
     norming_constant,
     sample_brood,
 )
+from brwre.environment import EnvironmentModel
+from brwre.limit_laws import LimitConfig, sample_limit_point_process
+from brwre.measures import group_by_draw
+from brwre.offspring import Deterministic
 from pattern_oracle import enumerated_masses
 
 
@@ -68,48 +73,75 @@ def test_one_sided_draws_are_the_plain_pareto_stream(alpha):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def limit_steps(model, n_draws, rng, monkeypatch):
+    """The points of ``n_draws`` limit point-process draws as steps: every
+    atom handed to the grouping over its draw's scale times u_min, one row
+    per point.  Under Deterministic(2) every brood has two members and every
+    cluster size is positive, so the rows are whole."""
+    handed = {}
+
+    def grouping(owner, locs, mults, size):
+        handed.update(owner=owner, locs=locs)
+        return group_by_draw(owner, locs, mults, size)
+
+    monkeypatch.setattr(limit_laws, "group_by_draw", grouping)
+    cfg = LimitConfig(u_min=0.05)
+    _, scales = sample_limit_point_process(model, EnvironmentModel.single(Deterministic(2)), cfg, rng, size=n_draws)
+    steps = handed["locs"] / (scales[handed["owner"]] * cfg.u_min)
+    return steps if model.mode == "iid" else steps.reshape(-1, 2)
+
+
 @pytest.mark.parametrize("mode", ["iid", "full_dep"])
 @pytest.mark.parametrize("p", [0.3, 0.5])
-def test_sign_and_magnitude_laws(mode, p, rng):
+def test_sign_and_magnitude_laws(mode, p, rng, monkeypatch):
     # the side of the step's uniform is the sign, its residual the magnitude:
     # side frequency p, an exact Pareto tail on each side, and sign
-    # independent of {|X| > 2}.  The 2x2 table's level, 0.001 per case, was
-    # fixed before the run
+    # independent of {|X| > 2}, for the simulator's steps and for the limit
+    # point process's points.  The 2x2 table's level, 0.001 per case and
+    # input, was fixed before the run
     model = DisplacementModel(1.5, p, mode)
-    n = 400_000
-    x = brood_flat(model, np.ones(n, dtype=np.int64), rng)
-    positive = x > 0.0
-    assert abs(positive.mean() - p) < 3 * math.sqrt(p * (1 - p) / n)
-    for side in (positive, ~positive):
-        mags = np.abs(x[side])
-        assert mags.min() >= 1.0
-        for t in (1.5, 4.0, 20.0):
-            pt = t ** -1.5
-            assert abs((mags > t).mean() - pt) < 3 * math.sqrt(pt * (1 - pt) / mags.size)
-    big = np.abs(x) > 2.0
-    table = np.array([[np.count_nonzero(s & b) for b in (big, ~big)] for s in (positive, ~positive)])
-    expect = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / n
-    assert ((table - expect) ** 2 / expect).sum() < st.chi2.ppf(1.0 - 0.001, 1)
+    brood = brood_flat(model, np.ones(400_000, dtype=np.int64), rng)
+    limit = limit_steps(model, 2000, rng, monkeypatch)
+    if mode == "full_dep":
+        assert np.array_equal(limit[:, 0], limit[:, 1])
+        limit = limit[:, 0]
+    # a limit step is recovered by a division, so its floor holds to rounding
+    for x, floor in ((brood, 1.0), (limit, 1.0 - 1e-12)):
+        n = x.size
+        positive = x > 0.0
+        assert abs(positive.mean() - p) < 3 * math.sqrt(p * (1 - p) / n)
+        for side in (positive, ~positive):
+            mags = np.abs(x[side])
+            assert mags.min() >= floor
+            for t in (1.5, 4.0, 20.0):
+                pt = t ** -1.5
+                assert abs((mags > t).mean() - pt) < 3 * math.sqrt(pt * (1 - pt) / mags.size)
+        big = np.abs(x) > 2.0
+        table = np.array([[np.count_nonzero(s & b) for b in (big, ~big)] for s in (positive, ~positive)])
+        expect = table.sum(axis=1, keepdims=True) * table.sum(axis=0, keepdims=True) / n
+        assert ((table - expect) ** 2 / expect).sum() < st.chi2.ppf(1.0 - 0.001, 1)
 
 
-def test_angular_atom_frequencies_and_radius_tails(rng):
-    # one uniform per parent: its category is the atom, with frequency the
-    # atom's weight share, and its residual an exact Pareto radius above
-    # the floor under every atom
+def test_angular_atom_frequencies_and_radius_tails(rng, monkeypatch):
+    # one uniform per parent or limit point: its category is the atom, with
+    # frequency the atom's weight share, and its residual an exact Pareto
+    # radius above the floor under every atom: the radial floor for the
+    # simulator's steps, u_min (1 in the units of limit_steps) for the limit
     atoms = np.array([[0.6, 0.8], [0.8, 0.6], [-0.6, -0.8], [-0.8, -0.6]])
     model = DisplacementModel.discrete_angular(2.0, atoms, [2.0, 2.0, 1.0, 1.0])
-    n = 600_000
-    x = brood_flat(model, np.full(n, 2, dtype=np.int64), rng).reshape(n, 2)
-    radii = np.hypot(x[:, 0], x[:, 1])
-    atom = np.argmax(x @ atoms.T / radii[:, None], axis=1)
-    assert radii.min() >= model.radial_floor * (1.0 - 1e-12)
-    for k, share in enumerate((1 / 3, 1 / 3, 1 / 6, 1 / 6)):
-        mine = atom == k
-        assert abs(mine.mean() - share) < 3 * math.sqrt(share * (1 - share) / n)
-        r = radii[mine] / model.radial_floor
-        for t in (1.5, 4.0):
-            pt = t ** -2.0
-            assert abs((r > t).mean() - pt) < 3 * math.sqrt(pt * (1 - pt) / r.size)
+    brood = brood_flat(model, np.full(600_000, 2, dtype=np.int64), rng).reshape(-1, 2)
+    for x, floor in ((brood, model.radial_floor), (limit_steps(model, 400, rng, monkeypatch), 1.0)):
+        n = x.shape[0]
+        radii = np.hypot(x[:, 0], x[:, 1])
+        atom = np.argmax(x @ atoms.T / radii[:, None], axis=1)
+        assert radii.min() >= floor * (1.0 - 1e-12)
+        for k, share in enumerate((1 / 3, 1 / 3, 1 / 6, 1 / 6)):
+            mine = atom == k
+            assert abs(mine.mean() - share) < 3 * math.sqrt(share * (1 - share) / n)
+            r = radii[mine] / floor
+            for t in (1.5, 4.0):
+                pt = t ** -2.0
+                assert abs((r > t).mean() - pt) < 3 * math.sqrt(pt * (1 - pt) / r.size)
 
 
 def test_axis_atoms_single_nonzero(rng):

@@ -5,7 +5,7 @@ between the last cumulative weight and the uniform."""
 import numpy as np
 import pytest
 
-from brwre.displacement import DisplacementModel, _invert, _pareto, brood_flat
+from brwre.displacement import DisplacementModel, _invert, _pareto, brood_flat, draw_steps
 from brwre.environment import EnvironmentModel, sample_env
 from brwre.limit_laws import ClusterSampler, EnvStream, LimitConfig, cluster_norm_series
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
@@ -83,12 +83,15 @@ def test_angular_atom_draws_stay_in_support():
     model = DisplacementModel.discrete_angular(2.0, [d, -d, d], [0.95, 0.313, 0.424])
     w = np.asarray(model.weights)
     assert np.cumsum(w / w.sum())[-1] == TopUniform.u  # the rounding edge itself
-    assert model.draw_atoms(TOP, 4).tolist() == [2] * 4
-    # every parent gets the last atom, coordinate by brood rank, and the
-    # radius of the residual (1 - u) / (1 - last cut), the smallest there is
-    x = brood_flat(model, np.array([2, 1]), TOP)
+    # every step, of a brood or of a limit point, gets the last atom and the
+    # magnitude of the residual (1 - u) / (1 - last cut), the smallest there is
     residual = (1.0 - TopUniform.u) / (1.0 - model._table[0][-1])
-    radius = model.radial_floor * (1.0 / np.sqrt(residual))
+    magnitude = 1.0 / np.sqrt(residual)
+    x, atom = draw_steps(model, 4, TOP)
+    assert atom.tolist() == [2] * 4 and np.array_equal(x, np.full(4, magnitude))
+    # brood_flat puts coordinates by brood rank on the radial floor's scale
+    x = brood_flat(model, np.array([2, 1]), TOP)
+    radius = model.radial_floor * magnitude
     assert np.isfinite(radius) and radius >= model.radial_floor
     assert np.array_equal(x, radius * model.atom_matrix()[2, [0, 1, 0]])
 

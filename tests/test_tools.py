@@ -63,7 +63,10 @@ def test_output_digests_derives_uncovered_scenarios(tmp_path):
     cfgs = [load_config(path) for path in paths]
     assert sorted(cfg.displacement.mode for cfg in cfgs) == [
         "discrete_angular", "discrete_angular", "discrete_angular", "full_dep", "full_dep", "iid", "iid", "iid", "iid",
+        "iid",
     ]
+    # a one-sided negative model draws its steps and limit points without a sign category
+    assert any(cfg.displacement.mode == "iid" and cfg.displacement.p == 0.0 for cfg in cfgs)
     # binary trees of 2^18 leaves fill two simulator chunks, each of which
     # splits its uniforms into signs and magnitudes (p < 1) or atoms and
     # radii (angular), in every mode

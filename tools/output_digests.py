@@ -70,7 +70,9 @@ def derived_configs(directory: str) -> list:
     at n = 18 with iid, fully dependent and diagonal angular displacements,
     all with p = 1/2: its 2^18 leaves span two chunks of the streaming
     simulator (``brw.LEAF_CHUNK``), each of which splits its uniforms into
-    signs and magnitudes (angular: atoms and radii).
+    signs and magnitudes (angular: atoms and radii); and the binary config is
+    rewritten with one-sided negative iid displacements (p = 0), whose steps
+    and limit points take the magnitude's uniform without a sign category.
     Returns the YAML paths.
     """
     base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
@@ -81,6 +83,7 @@ def derived_configs(directory: str) -> list:
     n18 = dataclasses.replace(base, simulation=dataclasses.replace(base.simulation, n=(18,)))
     scenarios = {
         "binary_full_dep": dataclasses.replace(base, displacement=DisplacementModel.full_dep(2.0, 0.5)),
+        "binary_negative": dataclasses.replace(base, displacement=DisplacementModel.iid(2.0, 0.0)),
         "binary_angular": dataclasses.replace(base, displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)),
         "binary_angular_cyclic": dataclasses.replace(
             base,
