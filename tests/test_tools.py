@@ -3,11 +3,14 @@ import importlib.util
 import json
 import os
 
+import pytest
+
 from brwre import brw
 from brwre.config import SimSettings, dump_config, load_config
 from brwre.offspring import Deterministic, Finite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden", "output_digests.txt")
 
 
 def _load(name, *path):
@@ -63,10 +66,13 @@ def test_output_digests_derives_uncovered_scenarios(tmp_path):
     cfgs = [load_config(path) for path in paths]
     assert sorted(cfg.displacement.mode for cfg in cfgs) == [
         "discrete_angular", "discrete_angular", "discrete_angular", "full_dep", "full_dep", "iid", "iid", "iid", "iid",
-        "iid",
+        "iid", "iid",
     ]
     # a one-sided negative model draws its steps and limit points without a sign category
     assert any(cfg.displacement.mode == "iid" and cfg.displacement.p == 0.0 for cfg in cfgs)
+    # a tail index of 0.25 puts norming constants past 1e17, which the writer
+    # formats through its %.17g fallback
+    assert any(cfg.displacement.alpha == 0.25 for cfg in cfgs)
     # binary trees of 2^18 leaves fill two simulator chunks, each of which
     # splits its uniforms into signs and magnitudes (p < 1) or atoms and
     # radii (angular), in every mode
@@ -186,3 +192,37 @@ def test_output_digests_past_meta_ignores_only_the_config_hash(tmp_path, monkeyp
     assert lines[1].startswith('  "meta": ')
     without = "\n".join(lines[:1] + lines[2:]).encode()
     assert tool.file_digest("two/check/check.json", True) == tool.sha256(without)
+
+
+def _moved(want, got):
+    """The lines of two digest listings that differ, grouped by scenario and command."""
+    # a line is "<value>  <path>", where the path starts with <scenario>/<command>
+    want, got = ({line.split("  ", 1)[1]: line for line in lines} for lines in (want, got))
+    groups = {}
+    for path in sorted(want.keys() | got.keys()):
+        if want.get(path) != got.get(path):
+            group = groups.setdefault("/".join(path.split("/")[:2]), [])
+            group += [f"  {sign} {side[path]}" for sign, side in (("-", want), ("+", got)) if path in side]
+    return "\n".join(f"{group}:\n" + "\n".join(lines) for group, lines in groups.items())
+
+
+def test_output_digests_match_golden_listing(tmp_path, monkeypatch):
+    # every output byte of every command on every scenario, against the
+    # committed listing: a refactor moves none, and a stream shift
+    # regenerates the file (tools/output_digests.py says how)
+    tool = _load_tool("output_digests")
+    with open(GOLDEN) as fh:
+        lines = fh.read().splitlines()
+    header = [line for line in lines if line.startswith("# ")]
+    if header[:2] != tool.header()[:2]:
+        # another numpy version or SIMD target set may move the last bit of a draw
+        made, here = ("; ".join(line[2:] for line in h[:2]) for h in (header, tool.header()))
+        pytest.xfail(f"the golden listing is of {made}, this host runs {here}")
+    listings = {}
+    for threads in (1, 2):
+        (tmp_path / str(threads)).mkdir()
+        monkeypatch.chdir(tmp_path / str(threads))
+        listings[threads] = tool.listing(20, threads)
+    moved = _moved(lines[len(header):], listings[1])
+    assert not moved, f"outputs moved from {os.path.relpath(GOLDEN, ROOT)}:\n{moved}"
+    assert listings[2] == listings[1]

@@ -4,18 +4,21 @@ Runs ``check``, ``simulate``, ``limit``, ``compare`` and ``diagnostics`` on
 each ``configs/*.yaml`` of this checkout and on the derived scenarios of
 :func:`derived_configs`, in process through ``brwre.cli.main``, each command
 into its own directory ``<config>/<command>`` under a temporary working
-directory.  Prints one ``sha256  path`` line per output file and per
-command's stdout (path ``<config>/<command>/stdout``), and one
+directory.  Prints a header of ``# `` lines naming the numpy version, the
+SIMD targets numpy dispatches to, the Python version and the machine type,
+then one ``sha256  path`` line per output
+file and per command's stdout (path ``<config>/<command>/stdout``), and one
 ``exit N  <config>/<command>`` line per command.  Paths are relative to the
 temporary directory, so the listings of two checkouts can be compared with
-``diff``:
-
-    python3 tools/output_digests.py --reps 20 --threads 1 > new.txt
-    python3 <other checkout>/tools/output_digests.py --reps 20 --threads 1 > old.txt
-    diff old.txt new.txt
+``diff``.
 
 Data files are byte-identical across reruns and ``--threads`` values, so any
-line that differs is a change in output.
+line that differs is a change in output.  ``tests/golden/output_digests.txt``
+is the listing at ``--reps 20 --threads 1``, and ``tests/test_tools.py``
+holds every checkout to it; a change that shifts a random stream on purpose
+regenerates it, and the file's diff is the list of moved outputs:
+
+    python3 tools/output_digests.py --reps 20 --threads 1 > tests/golden/output_digests.txt
 
 Every data file starts with the config hash: the first line of a CSV file,
 the ``meta`` field of a JSON file.  A change that moves the hash (a change to
@@ -34,8 +37,11 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
+
+import numpy as np
 
 import yaml
 
@@ -72,7 +78,9 @@ def derived_configs(directory: str) -> list:
     simulator (``brw.LEAF_CHUNK``), each of which splits its uniforms into
     signs and magnitudes (angular: atoms and radii); and the binary config is
     rewritten with one-sided negative iid displacements (p = 0), whose steps
-    and limit points take the magnitude's uniform without a sign category.
+    and limit points take the magnitude's uniform without a sign category;
+    and with iid displacements of tail index 0.25, whose norming constants
+    and maxima pass 1e17 and so reach the writer's ``%.17g`` fallback.
     Returns the YAML paths.
     """
     base = load_config(os.path.join(ROOT, "configs", "binary_iid.yaml"))
@@ -84,6 +92,7 @@ def derived_configs(directory: str) -> list:
     scenarios = {
         "binary_full_dep": dataclasses.replace(base, displacement=DisplacementModel.full_dep(2.0, 0.5)),
         "binary_negative": dataclasses.replace(base, displacement=DisplacementModel.iid(2.0, 0.0)),
+        "binary_heavy": dataclasses.replace(base, displacement=DisplacementModel.iid(0.25, 0.5)),
         "binary_angular": dataclasses.replace(base, displacement=DisplacementModel.diagonal_angular(2.0, 2, 0.5)),
         "binary_angular_cyclic": dataclasses.replace(
             base,
@@ -145,6 +154,37 @@ def digest_config(config: str, reps: int, threads: int, past_meta: bool = False)
     return lines
 
 
+def simd_targets() -> str:
+    """The SIMD targets numpy dispatches to on this host, as ``np.show_runtime`` lists them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+
+
+def header() -> list:
+    """The ``# `` lines that head a listing.  Its first two decide whether two
+    listings can agree: numpy may change a Generator stream between versions
+    (NEP 19), and its SIMD kernels of exp, log and power may round the last
+    bit differently from the scalar ones another host falls back to."""
+    return [
+        f"# numpy {np.__version__}",
+        f"# simd {simd_targets()}",
+        f"# python {platform.python_version()}",
+        f"# machine {platform.machine()}",
+    ]
+
+
+def listing(reps: int, threads: int, past_meta: bool = False) -> list:
+    """Digest lines of every shipped and derived config, writing below the working directory."""
+    configs = sorted(
+        os.path.join(ROOT, "configs", f) for f in os.listdir(os.path.join(ROOT, "configs")) if f.endswith(".yaml")
+    )
+    configs += derived_configs(os.getcwd())
+    return [line for config in configs for line in digest_config(config, reps, threads, past_meta)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=20, help="--reps of every command: replications, or limit draws for limit")
@@ -153,15 +193,11 @@ def main(argv=None) -> int:
         "--past-meta", action="store_true", help="digest CSV files past their first line and JSON files without 'meta'"
     )
     args = parser.parse_args(argv)
-    configs = sorted(
-        os.path.join(ROOT, "configs", f) for f in os.listdir(os.path.join(ROOT, "configs")) if f.endswith(".yaml")
-    )
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for config in configs + derived_configs(tmp):
-                print("\n".join(digest_config(config, args.reps, args.threads, args.past_meta)), flush=True)
+            print("\n".join(header() + listing(args.reps, args.threads, args.past_meta)))
         finally:
             os.chdir(cwd)
     return 0
