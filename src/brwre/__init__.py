@@ -47,7 +47,6 @@ from .limit_laws import (
     sample_limit_point_process,
     sample_martingale_limit,
     sample_q,
-    top_two_cdf,
     top_two_cdf_multiplicity_adjusted,
 )
 from .measures import PointMeasure

@@ -524,20 +524,6 @@ def joint_min_max_cdf(
     return float(np.mean(np.exp(-t * (p * x ** -alpha + (1.0 - p) * y ** -alpha))))
 
 
-def top_two_cdf(
-    q_samples: List[QSample], x: float, y: float, alpha: float, p: float
-) -> float:
-    """P(largest <= y, second largest <= x) for 0 < x < y, tail-independent
-    mode, treating every cluster as a singleton.
-
-    This is the top-two law of the undecorated Poisson process: a lone point
-    in (x, y] always counts, whatever its multiplicity.  The limit extremal
-    process is cluster-decorated, and its own top-two law is
-    :func:`top_two_cdf_multiplicity_adjusted`.
-    """
-    return top_two_cdf_multiplicity_adjusted(q_samples, x, y, alpha, p, np.ones(len(q_samples)))
-
-
 def top_two_cdf_multiplicity_adjusted(
     q_samples: List[QSample],
     x: float,
@@ -546,13 +532,15 @@ def top_two_cdf_multiplicity_adjusted(
     p: float,
     single_probs,
 ) -> float:
-    """Top-two law of the limit extremal process (the SScDPPP itself).
+    """P(largest <= y, second largest <= x) for 0 < x <= y, tail-independent
+    mode: the top-two law of the limit extremal process (the SScDPPP itself).
 
     A lone point in (x, y] only leaves the second maximum below x when its
     cluster multiplicity is exactly 1, so the interval term carries the
     quenched single-descendant probability (one value per sample).  This is
     the exact law of the cluster-decorated limit, not a finite-scale
-    correction of :func:`top_two_cdf`.
+    correction; probabilities of 1 give the law of the undecorated Poisson
+    process, whose clusters are singletons.
     """
     if not 0.0 < x <= y:
         raise ArgumentOrder("top-two law needs 0 < x <= y")

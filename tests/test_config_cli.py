@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from brwre import brw, cli, csv_writer
+from brwre import brw, cli, csv_writer, stats
 from brwre.cli import main
 from brwre.config import (
     ComparisonSettings,
@@ -27,7 +29,7 @@ from brwre.config import (
 )
 from brwre.displacement import DisplacementModel
 from brwre.environment import EnvironmentModel
-from brwre.errors import ConfigError
+from brwre.errors import ConfigError, SupportBelowRetention
 from brwre.limit_laws import LimitConfig, limit_max_cdf
 from brwre.measures import PointMeasure
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
@@ -596,6 +598,45 @@ def test_cli_compare_pass_and_fail(tmp_path):
     assert main(["compare", "--config", write_config(tmp_path, strict)]) == 1
 
 
+def test_cli_compare_matches_general_statistics(tmp_path):
+    # compare reads TV and every Laplace value off one count matrix per side;
+    # the general path, on the same replications and limit draws, must give
+    # every reported value bit for bit
+    cfg = small_config(
+        displacement=DisplacementModel.iid(2.0, 0.5),
+        simulation=SimSettings(n=(6,), replications=40, retain_delta=0.1),
+        comparison=ComparisonSettings(grid=(0.1, 0.5, 1.0, 2.0), count_x=1.0),
+        output_dir=str(tmp_path / "out"),
+    )
+    path = write_config(tmp_path, cfg)
+    # x = 0.1 is not above retain_delta, so it has no Laplace row and raises nothing
+    assert main(["compare", "--config", path]) in (0, 1)
+    report = json.loads((tmp_path / "out" / "compare.json").read_text())["n"]["6"]
+
+    cfg = load_config(path)
+    grid, alpha = cfg.comparison.grid, cfg.displacement.alpha
+    alive = [o for o in brw.run_replications(cfg.sim_config(6), 40) if not o.extinct]
+    finite = [o.atoms for o in alive]
+    q_samples = cli._draw_q_samples(cfg, cfg.limit.n_limit_samples)
+    pp_draws, pp_scales = cli._draw_pp(cfg, cfg.limit.n_limit_samples)
+    ecdf = stats.Ecdf.from_samples([o.top[0] / o.b_n for o in alive])
+    assert report["ks"] == stats.ks_distance(ecdf, lambda x: limit_max_cdf(q_samples, x, alpha), grid)
+    assert [r["limit_cdf"] for r in report["grid"]] == [limit_max_cdf(q_samples, x, alpha) for x in grid]
+    assert report["count_tv"]["tv"] == stats.count_distribution_tv(
+        [m.count_above(1.0) for m in finite], [m.count_above(1.0) for m in pp_draws]
+    )
+    floor = max(0.1, float(pp_scales.max()) * cfg.limit.u_min)
+    expected = []
+    for x in (x for x in grid if x > floor):
+        f = stats.TestFunction("indicator_above", x)
+        fin, lim = stats.laplace_estimate(finite, f, 0.1), stats.laplace_estimate(pp_draws, f)
+        expected.append({"x": x, "finite": fin, "limit": lim, "abs_diff": abs(fin - lim)})
+    assert report["laplace"] == expected and len(expected) >= 2
+    assert 0.1 not in [r["x"] for r in report["laplace"]]
+    with pytest.raises(SupportBelowRetention):
+        stats.laplace_estimate(finite, stats.TestFunction("indicator_above", 0.1), 0.1)
+
+
 def test_threads_default_from_environment(monkeypatch, tmp_path, capsys):
     from brwre.cli import build_parser
 
@@ -617,6 +658,27 @@ def test_threads_default_from_environment(monkeypatch, tmp_path, capsys):
             record = json.loads(capsys.readouterr().out)
             assert record["error"] == "ConfigError" and "threads" in record["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", ["check", "compare"])
+def test_cli_closed_stdout_exits_141(tmp_path, command, unbuffered):
+    # a reader that is gone before the first line (`| head -0`): unbuffered,
+    # the first print meets the closed pipe; buffered, the last flush does
+    path = write_config(tmp_path, small_config(output_dir=str(tmp_path / "out")))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "brwre.cli", command, "--config", path, "--reps", "5"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_cli_diagnostics(tmp_path):

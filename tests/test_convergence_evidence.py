@@ -24,7 +24,6 @@ from brwre.limit_laws import (
     LimitConfig,
     QSample,
     sample_limit_point_process,
-    top_two_cdf,
     top_two_cdf_multiplicity_adjusted,
 )
 from brwre.offspring import Deterministic
@@ -106,7 +105,7 @@ def test_top_two_empirics_match_multiplicity_adjusted_form():
     stats = run_stats(14, 1200, 0.5, 101)
     emp = float(np.mean((stats["m1"] <= 2.0) & (stats["m2"] <= 1.0)))
     qs = [QSample(q=1.0, w=1.0, c_value=2.0)]
-    plain = top_two_cdf(qs, 1.0, 2.0, 2.0, 0.5)
+    plain = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, np.ones(len(qs)))
     adjusted = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, [0.5])
     print(f"top-two: emp={emp:.4f} adjusted={adjusted:.4f} plain={plain:.4f}")
     assert abs(emp - adjusted) < 0.05

@@ -21,7 +21,6 @@ from brwre.limit_laws import (
     sample_limit_point_process,
     sample_martingale_limit,
     sample_q,
-    top_two_cdf,
     top_two_cdf_multiplicity_adjusted,
 )
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
@@ -544,17 +543,19 @@ def test_joint_min_max_examples(rng):
 
 def test_top_two_examples(rng):
     qs = [sample_q(DisplacementModel.iid(2.0, 1.0), BINARY, CFG, rng) for _ in range(20)]
-    assert top_two_cdf(qs, 1.0, 1.0, 2.0, 1.0) == pytest.approx(math.exp(-2.0), rel=1e-6)
+    # singleton clusters: the top-two law of the undecorated Poisson process
+    ones = np.ones(len(qs))
+    assert top_two_cdf_multiplicity_adjusted(qs, 1.0, 1.0, 2.0, 1.0, ones) == pytest.approx(math.exp(-2.0), rel=1e-6)
     with pytest.raises(ArgumentOrder):
-        top_two_cdf(qs, 2.0, 1.0, 2.0, 1.0)
+        top_two_cdf_multiplicity_adjusted(qs, 2.0, 1.0, 2.0, 1.0, ones)
     # joint law sandwiched between the marginal CDFs at the two thresholds
-    tt = top_two_cdf(qs, 1.0, 2.0, 2.0, 1.0)
+    tt = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 1.0, ones)
     assert limit_max_cdf(qs, 1.0, 2.0) - 1e-12 <= tt <= limit_max_cdf(qs, 2.0, 2.0) + 1e-12
 
 
 def test_top_two_multiplicity_adjusted_bounds(rng):
     qs = [sample_q(DisplacementModel.iid(2.0, 0.5), BINARY, CFG, rng) for _ in range(20)]
-    plain = top_two_cdf(qs, 1.0, 2.0, 2.0, 0.5)
+    plain = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, np.ones(len(qs)))
     adjusted = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, [0.5] * len(qs))
     assert adjusted < plain  # size-one clusters are rarer than clusters
 
