@@ -6,9 +6,9 @@ each ``configs/*.yaml`` of this checkout and on the derived scenarios of
 into its own directory ``<config>/<command>`` under a temporary working
 directory.  Prints a header of ``# `` lines naming the numpy version, the
 SIMD targets numpy dispatches to, the Python version and the machine type,
-then one ``sha256  path`` line per output
-file and per command's stdout (path ``<config>/<command>/stdout``), and one
-``exit N  <config>/<command>`` line per command.  Paths are relative to the
+then one ``sha256  path`` line per output file and per command's stdout
+(path ``<config>/<command>/stdout``), and one ``exit N  <config>/<command>``
+line per command.  Paths are relative to the
 temporary directory, so the listings of two checkouts can be compared with
 ``diff``.
 
@@ -42,7 +42,6 @@ import sys
 import tempfile
 
 import numpy as np
-
 import yaml
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
