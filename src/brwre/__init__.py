@@ -15,7 +15,6 @@ from .displacement import (
     DisplacementModel,
     exceedance_masses,
     norming_constant,
-    sample_brood,
 )
 from .environment import (
     AssumptionReport,

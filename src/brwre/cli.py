@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from functools import partial
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -127,12 +127,13 @@ def _blocks(size: int):
     return (min(_BLOCK, size - start) for start in range(0, size, _BLOCK))
 
 
-def _draw_q_samples(cfg: ExperimentConfig, size: int) -> List[QSample]:
+def _draw_q_samples(cfg: ExperimentConfig, size: int) -> QSample:
     rng = brw.replication_rng(cfg.seed, _Q_STREAM)
-    draws = []
-    for block in _blocks(size):
-        draws += limit_laws.sample_q(cfg.displacement, cfg.environment, cfg.limit, rng, size=block)
-    return draws
+    blocks = [
+        limit_laws.sample_q(cfg.displacement, cfg.environment, cfg.limit, rng, size=block)
+        for block in _blocks(size)
+    ]
+    return QSample(*(np.concatenate([getattr(b, f) for b in blocks]) for f in ("q", "w", "c_value")))
 
 
 def _draw_pp(cfg: ExperimentConfig, size: int):
@@ -153,9 +154,7 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     size = reps or cfg.limit.n_limit_samples
 
     q_samples = _draw_q_samples(cfg, size)
-    q_columns = [np.arange(size)] + [
-        np.array([getattr(s, f) for s in q_samples], dtype=float) for f in ("q", "w", "c_value")
-    ]
+    q_columns = [np.arange(size), q_samples.q, q_samples.w, q_samples.c_value]
     write_csv(os.path.join(out, "q_samples.csv"), ["sample", "q", "w", "c_value"], q_columns, meta)
 
     grid = cfg.comparison.grid
@@ -295,10 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=partial(_int_flag, "--reps", 1), default=None, help="override replication counts")
         p.add_argument(
             "--threads",
-            type=partial(_int_flag, "--threads and $BRWRE_THREADS", 1),
-            # a string default goes through ``type`` when the flag is absent
-            default=os.environ.get("BRWRE_THREADS", "1"),
-            help="worker processes for replication batches (default $BRWRE_THREADS or 1)",
+            type=partial(_int_flag, "--threads", 1),
+            default=1,
+            help="worker processes for replication batches (default 1)",
         )
     return parser
 

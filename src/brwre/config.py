@@ -50,6 +50,12 @@ def _reals(value, what: str) -> tuple:
     return tuple(_real(v, what) for v in value)
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _boolean(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{what} must be true or false, got {value!r}")
@@ -197,7 +203,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             limit=_settings(LimitConfig, doc.get("limit", {}), "limit"),
             comparison=_settings(ComparisonSettings, doc.get("comparison", {}), "comparison"),
             seed=_integral(doc.get("seed", 0), "seed"),
-            output_dir=str(doc.get("output_dir", "out")),
+            output_dir=_string(doc.get("output_dir", "out"), "output_dir"),
         )
         if cfg.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}")

@@ -246,13 +246,6 @@ def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
     return spread_broods(model, x, atom, counts)
 
 
-def sample_brood(model: DisplacementModel, v: int, rng) -> np.ndarray:
-    """One displacement vector for the v children of a single parent."""
-    if v < 1:
-        raise ValueError("brood size must be >= 1")
-    return brood_flat(model, np.array([v], dtype=np.int64), rng)
-
-
 def exceedance_masses(model: DisplacementModel, v: int) -> np.ndarray:
     """Limit-measure masses of exceedance counts: entry k - 1 is
     nu(exactly k of the first v coordinates exceed 1), for k = 1..v.

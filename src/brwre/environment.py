@@ -39,8 +39,8 @@ class EnvironmentModel:
     def single(cls, law: OffspringLaw) -> "EnvironmentModel":
         return cls((law,), (1.0,))
 
-    def draw_indices(self, rng, n: Optional[int] = None):
-        """``n`` law indices, or one index when ``n`` is None."""
+    def draw_indices(self, rng, n) -> np.ndarray:
+        """An array of law indices of shape ``n``."""
         return np.searchsorted(self._cuts, rng.random(n), side="right")
 
 

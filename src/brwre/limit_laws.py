@@ -1,7 +1,10 @@
 """Samplers and evaluators for the limit objects of the extremal picture.
 
-Every sampler draws a block of independent draws at once; ``size=None``
-asks for one draw, a block of one.  Everything quenched lives on an
+Every sampler draws a block of independent draws at once, one row per
+draw; only :func:`sample_q` and :func:`sample_limit_point_process` also
+take ``size=None``, which returns row 0 of a block of one.  The evaluators
+of the limit laws read the columns of a :class:`QSample` block.  Everything
+quenched lives on an
 :class:`EnvStream`: a block of i.i.d. environments, one per row, whose law
 indices fill one matrix row by row.  The mean products come from a
 ``cumprod`` over the law means and the extinction probabilities from one
@@ -38,7 +41,7 @@ k lines survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -93,16 +96,17 @@ class SeriesValue:
 
 @dataclass
 class QSample:
-    """One draw of the mixing scale of the limit maximum law.
+    """A block of draws of the mixing scale of the limit maximum law, one
+    entry of each column per draw (floats for the one draw of ``size=None``).
 
     ``q`` multiplies x^(-alpha) in the limit CDF exponent; ``w`` is the
     martingale-limit draw and ``c_value`` the realized normalizing series, so
     w * c_value recovers the environment part needed by the joint laws.
     """
 
-    q: float
-    w: float
-    c_value: float
+    q: np.ndarray
+    w: np.ndarray
+    c_value: np.ndarray
 
 
 def _in_rounds(attempt, n: int, what: str) -> None:
@@ -175,13 +179,13 @@ class EnvStream:
     For row b, ``indices[b, j]`` is the law index of generation j for
     j < ``length[b]``, and ``pi[b, i]`` (the product of the first i means)
     and ``extinct[b, i]`` (P(Z_i = 0), newest law at the root) hold for
-    i <= ``length[b]``.  ``size=None`` makes a block of one.
+    i <= ``length[b]``.
     """
 
-    def __init__(self, model: EnvironmentModel, rng, size: Optional[int] = None):
+    def __init__(self, model: EnvironmentModel, rng, size: int = 1):
         self.model = model
         self._rng = rng
-        rows = 1 if size is None else int(size)
+        rows = int(size)
         self.length = np.zeros(rows, dtype=np.intp)
         self.indices = np.zeros((rows, 0), dtype=np.intp)
         self.pi = np.ones((rows, 1))
@@ -311,10 +315,9 @@ def cluster_norm_series(kind: str, stream: EnvStream, cfg: LimitConfig) -> Serie
 
 
 def sample_martingale_limit(
-    model: EnvironmentModel, m: int, condition_on_survival: bool, rng, size: Optional[int] = None
-):
-    """Z_m / pi_m for fresh environment draws, by count-level simulation:
-    ``size`` values, or one float for ``None``.
+    model: EnvironmentModel, m: int, condition_on_survival: bool, rng, size: int
+) -> np.ndarray:
+    """Z_m / pi_m for ``size`` fresh environment draws, by count-level simulation.
 
     Each round draws a ``(rows, m)`` law-index matrix and walks its rows;
     when conditioning, the rows that died out restart with a fresh
@@ -323,7 +326,7 @@ def sample_martingale_limit(
     conditional mean exact and the remaining fluctuation is
     O(population^-1/2).
     """
-    w = np.zeros(1 if size is None else size)
+    w = np.zeros(size)
 
     def attempt(rows: np.ndarray) -> np.ndarray:
         laws = model.draw_indices(rng, (rows.size, m))
@@ -335,7 +338,7 @@ def sample_martingale_limit(
         return alive if condition_on_survival else np.ones(rows.size, dtype=bool)
 
     _in_rounds(attempt, w.size, "survival restart of the martingale limit W")
-    return float(w[0]) if size is None else w
+    return w
 
 
 def _row_cuts(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -360,14 +363,9 @@ def _draw_categories(table: Tuple[np.ndarray, np.ndarray], rows: np.ndarray, rng
     return (cuts[rows] <= u[:, None]).sum(axis=1)
 
 
-def _one_or_rows(rows) -> np.ndarray:
-    return np.zeros(1, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
-
-
 class ClusterSampler:
     """Two-stage samplers for the cluster laws of each row of a block of
-    environments.  The draws take the row of each big jump; ``rows=None``
-    draws one on the first row and returns it as a plain value."""
+    environments.  The draws take the row of each big jump."""
 
     def __init__(self, stream: EnvStream, cfg: LimitConfig):
         self.stream = stream
@@ -375,12 +373,12 @@ class ClusterSampler:
         self._size_table = _row_cuts(terms)
         self._vec_table = _row_cuts(_series_terms("_inverse_mean_next", stream, cfg)[1])
 
-    def sample_size(self, rng, rows=None):
+    def sample_size(self, rng, rows) -> np.ndarray:
         """The number of final-generation descendants of one big jump per row
         of ``rows``: a generation i from the row's size table, then Z_i by
         the count-level population walk, conditioned on >= 1 (the dead walks
         are redone)."""
-        r = _one_or_rows(rows)
+        r = np.asarray(rows, dtype=np.intp)
         gens = _draw_categories(self._size_table, r, rng)
         sizes = np.zeros(r.size, dtype=np.int64)
 
@@ -389,12 +387,12 @@ class ClusterSampler:
             return sizes[todo] > 0
 
         _in_rounds(attempt, r.size, "cluster size draw")
-        return int(sizes[0]) if rows is None else sizes
+        return sizes
 
-    def sample_brood_vector(self, rng, rows=None):
+    def sample_brood_vector(self, rng, rows) -> Tuple[np.ndarray, np.ndarray]:
         """Brood sizes V, one per row of ``rows``, and the V descendant counts
         of each brood, not all zero, flat in the order of ``rows``."""
-        r = _one_or_rows(rows)
+        r = np.asarray(rows, dtype=np.intp)
         support = self.stream.model.support
         v = np.zeros(r.size, dtype=np.int64)
         # (draw, count) of every member of the broods each round accepted
@@ -417,8 +415,7 @@ class ClusterSampler:
 
         _in_rounds(attempt, r.size, "brood-vector rejection")
         draws, counts = (np.concatenate(m) for m in zip(*members))
-        sizes = counts[np.argsort(draws, kind="stable")]
-        return (int(v[0]), sizes) if rows is None else (v, sizes)
+        return v, counts[np.argsort(draws, kind="stable")]
 
     def single_descendant_prob(self) -> np.ndarray:
         """P(cluster size = 1) on each row: the chance one big jump shows up alone."""
@@ -474,8 +471,8 @@ def sample_q(
     method: str = "auto",
     size: Optional[int] = None,
 ):
-    """Draws of the mixing scale Q of the limit maximum: a list of ``size``
-    draws, or one :class:`QSample` for ``None``.
+    """Draws of the mixing scale Q of the limit maximum: one :class:`QSample`
+    block of ``size`` rows, or for ``None`` row 0 of a block of one, as floats.
 
     ``method="auto"`` uses the closed shortcuts for the iid and fully
     dependent modes and the exceedance-count series otherwise; ``"general"``
@@ -500,32 +497,30 @@ def sample_q(
         q = w * disp.p * sv.value
     else:
         raise ValueError("discrete_angular mode has no shortcut; use the general method")
-    draws = [QSample(*row) for row in zip(q.tolist(), w.tolist(), sv.value.tolist())]
-    return draws[0] if size is None else draws
+    if size is None:
+        return QSample(float(q[0]), float(w[0]), float(sv.value[0]))
+    return QSample(q, w, sv.value)
 
 
-def limit_max_cdf(q_samples: List[QSample], x: float, alpha: float) -> float:
+def limit_max_cdf(q_samples: QSample, x: float, alpha: float) -> float:
     """Monte Carlo limit CDF of the normalised maximum at x."""
-    if not q_samples:
+    if not q_samples.q.size:
         raise ValueError("need at least one sample")
     if not x > 0.0:
         raise ValueError("x must be positive")
-    qs = np.array([s.q for s in q_samples])
-    return float(np.mean(np.exp(-(x ** -alpha) * qs)))
+    return float(np.mean(np.exp(-(x ** -alpha) * q_samples.q)))
 
 
-def joint_min_max_cdf(
-    q_samples: List[QSample], x: float, y: float, alpha: float, p: float
-) -> float:
+def joint_min_max_cdf(q_samples: QSample, x: float, y: float, alpha: float, p: float) -> float:
     """P(limit min > -y, limit max <= x) for tail-independent displacements."""
     if not (x > 0.0 and y > 0.0):
         raise ValueError("x and y must be positive")
-    t = np.array([s.w * s.c_value for s in q_samples])
+    t = q_samples.w * q_samples.c_value
     return float(np.mean(np.exp(-t * (p * x ** -alpha + (1.0 - p) * y ** -alpha))))
 
 
 def top_two_cdf_multiplicity_adjusted(
-    q_samples: List[QSample],
+    q_samples: QSample,
     x: float,
     y: float,
     alpha: float,
@@ -544,7 +539,7 @@ def top_two_cdf_multiplicity_adjusted(
     """
     if not 0.0 < x <= y:
         raise ArgumentOrder("top-two law needs 0 < x <= y")
-    t = np.array([s.w * s.c_value for s in q_samples])
+    t = q_samples.w * q_samples.c_value
     r1 = np.asarray(single_probs, dtype=float)
     if r1.shape != t.shape:
         raise ValueError("need one single-descendant probability per sample")
@@ -560,8 +555,8 @@ def sample_limit_point_process(
     size: Optional[int] = None,
 ):
     """Draws of the limit extremal process, each with its realized scale: a
-    list of ``size`` measures and an array of their scales, or one measure
-    and its scale for ``None``.
+    list of ``size`` measures and an array of their scales, or for ``None``
+    measure 0 and scale 0 of a block of one.
 
     Radial points fall on (u_min, inf) with the alpha-homogeneous intensity;
     every point carries a cluster drawn from the quenched laws of its draw's

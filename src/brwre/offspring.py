@@ -2,9 +2,10 @@
 
 Every family exposes the same small surface: ``mean``, ``pmf``, ``pgf`` and
 its derivative ``pgf_prime``, vectorised child-count sampling, and a
-closed-form draw for the total progeny of a whole generation.  ``pgf``,
-``pgf_prime`` and ``sample_total`` take a scalar or an array (one entry per
-population of a block).  Every
+closed-form draw for the total progeny of a whole generation.  ``pgf`` and
+``pgf_prime`` take a scalar or an array.  ``sample_total`` takes an array of
+population sizes, one per population of a block, or one population as an
+int, for which it returns numpy's scalar draw, an integer.  Every
 categorical draw of the package is one right-sided search of a cut-point
 table (:func:`cut_points`) that the owner of the law builds once.  Child
 counts of every random family (Poisson, Geometric, Binomial, Finite) take
@@ -44,11 +45,6 @@ def _check_prob(s):
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"pgf argument must lie in [0, 1], got {s}")
     return float(s)
-
-
-def _total(draw, count):
-    """A total-progeny draw as an int for an int ``count``, as an array for an array."""
-    return draw if isinstance(count, np.ndarray) else int(draw)
 
 
 def cut_points(weights) -> Tuple[np.ndarray, float]:
@@ -189,7 +185,7 @@ class Poisson:
         return self._table.draw(rng, size)
 
     def sample_total(self, rng, count):
-        return _total(rng.poisson(self.lam * count), count)
+        return rng.poisson(self.lam * count)
 
 
 @dataclass(frozen=True)
@@ -227,7 +223,7 @@ class Geometric:
     def sample_total(self, rng, count):
         # Sum of `count` geometrics = negative binomial (failures before
         # the count-th success at success probability 1 - q).
-        return _total(rng.negative_binomial(count, 1.0 - self.q), count)
+        return rng.negative_binomial(count, 1.0 - self.q)
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,7 @@ class Binomial:
         return self._table.draw(rng, size)
 
     def sample_total(self, rng, count):
-        return _total(rng.binomial(self.m * count, self.q), count)
+        return rng.binomial(self.m * count, self.q)
 
 
 @dataclass(frozen=True)
@@ -314,7 +310,7 @@ class Finite:
 
     def sample_total(self, rng, count):
         hits = rng.multinomial(count, self._vec())
-        return _total(hits @ np.arange(hits.shape[-1]), count)
+        return hits @ np.arange(hits.shape[-1])
 
 
 OffspringLaw = Union[Deterministic, Poisson, Geometric, Binomial, Finite]

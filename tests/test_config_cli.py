@@ -30,7 +30,7 @@ from brwre.config import (
 from brwre.displacement import DisplacementModel
 from brwre.environment import EnvironmentModel
 from brwre.errors import ConfigError, SupportBelowRetention
-from brwre.limit_laws import LimitConfig, limit_max_cdf
+from brwre.limit_laws import LimitConfig, limit_max_cdf, sample_limit_point_process, sample_q
 from brwre.measures import PointMeasure
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
 
@@ -98,7 +98,7 @@ def test_yaml_round_trip(tmp_path):
     assert load_config(str(path), seed=9).seed == 9
 
 
-def test_invalid_configs_rejected(tmp_path, capsys):
+def test_invalid_configs_rejected(tmp_path, capsys, monkeypatch):
     with pytest.raises(ConfigError):
         config_from_dict({"environment": {"support": [], "weights": []}})
     bad = tmp_path / "bad.yaml"
@@ -154,6 +154,21 @@ def test_invalid_configs_rejected(tmp_path, capsys):
             config_from_dict(doc)
         path.write_text(yaml.safe_dump(doc))
         assert main(["check", "--config", str(path)]) == 2
+    # the output directory is a string: a null or a list is not turned into
+    # the name of a directory, and no run creates one
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    for value in (None, ["a", "b"]):
+        doc = config_to_dict(small_config())
+        doc["output_dir"] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+        path.write_text(yaml.safe_dump(doc))
+        for command in ("check", "simulate"):
+            capsys.readouterr()
+            assert main([command, "--config", str(path)]) == 2
+            assert json.loads(capsys.readouterr().out)["error"] == "ConfigError"
+    assert sorted(os.listdir(tmp_path)) == before
     doc = config_to_dict(small_config())
     doc["limit"]["max_terms"] = 512.0
     assert config_from_dict(doc).limit.max_terms == 512
@@ -505,7 +520,8 @@ def test_cli_csv_files_match_csv_oracle(tmp_path):
 
     size = cfg.limit.n_limit_samples
     q_samples = cli._draw_q_samples(cfg, size)
-    q_rows = [[i, s.q, s.w, s.c_value] for i, s in enumerate(q_samples)]
+    columns = (q_samples.q.tolist(), q_samples.w.tolist(), q_samples.c_value.tolist())
+    q_rows = [[i, *row] for i, row in enumerate(zip(*columns))]
     assert (out / "q_samples.csv").read_bytes() == oracle_csv(
         ["sample", "q", "w", "c_value"], q_rows, meta
     )
@@ -566,6 +582,34 @@ def test_cli_limit_constants(tmp_path, capsys):
     assert abs(float(x_row.split(",")[1]) - math.exp(-2.0)) < 1e-6
     assert os.path.exists(tmp_path / "out" / "q_samples.csv")
     assert os.path.exists(tmp_path / "out" / "limit_pp.csv")
+
+
+def test_cli_limit_draws_concatenate_blocks(monkeypatch):
+    # 19 draws in blocks of 8: every column, measure and scale equals, with
+    # ==, those of the block calls 8, 8 and 3 on a fresh generator of the
+    # same stream id (a random environment, so no two draws are alike)
+    cfg = small_config(
+        environment=EnvironmentModel((Poisson(2.0), Poisson(3.0)), (0.5, 0.5)),
+        displacement=DisplacementModel.iid(2.0, 0.5),
+    )
+    monkeypatch.setattr(cli, "_BLOCK", 8)
+    q = cli._draw_q_samples(cfg, 19)
+    measures, scales = cli._draw_pp(cfg, 19)
+    model = (cfg.displacement, cfg.environment, cfg.limit)
+    rng = brw.replication_rng(cfg.seed, cli._Q_STREAM)
+    q_blocks = [sample_q(*model, rng, size=k) for k in (8, 8, 3)]
+    for field in ("q", "w", "c_value"):
+        column = getattr(q, field)
+        assert column.size == 19 and len(set(column.tolist())) > 1
+        assert column.tolist() == [x for b in q_blocks for x in getattr(b, field).tolist()]
+    rng = brw.replication_rng(cfg.seed, cli._PP_STREAM)
+    pp_blocks = [sample_limit_point_process(*model, rng, size=k) for k in (8, 8, 3)]
+    expected = [m for block, _ in pp_blocks for m in block]
+    assert len(measures) == len(expected) == 19
+    for m, e in zip(measures, expected):
+        assert m.locations.tolist() == e.locations.tolist()
+        assert m.multiplicities.tolist() == e.multiplicities.tolist()
+    assert scales.tolist() == [s for _, block in pp_blocks for s in block.tolist()]
 
 
 def test_cli_compare_pass_and_fail(tmp_path):
@@ -637,24 +681,18 @@ def test_cli_compare_matches_general_statistics(tmp_path):
         stats.laplace_estimate(finite, stats.TestFunction("indicator_above", 0.1), 0.1)
 
 
-def test_threads_default_from_environment(monkeypatch, tmp_path, capsys):
+def test_threads_flag_default_and_bad_values(tmp_path, capsys):
     from brwre.cli import build_parser
 
-    monkeypatch.setenv("BRWRE_THREADS", "7")
-    args = build_parser().parse_args(["simulate", "--config", "x.yaml"])
-    assert args.threads == 7
-    monkeypatch.delenv("BRWRE_THREADS")
     args = build_parser().parse_args(["simulate", "--config", "x.yaml"])
     assert args.threads == 1
-    # a worker count that is not an integer >= 1 is a configuration error,
-    # from the environment as from the flag; none of these starts a worker
+    # a worker count that is not an integer >= 1 is a configuration error;
+    # none of these starts a worker
     path = write_config(tmp_path, small_config(output_dir=str(tmp_path / "out")))
-    flags = [["--threads", value] for value in ("-3", "0", "abc", "2.5")]
-    for env, flag in [("two", []), ("0", [])] + [("1", flag) for flag in flags]:
-        monkeypatch.setenv("BRWRE_THREADS", env)
+    for value in ("-3", "0", "abc", "2.5"):
         for command in ("check", "simulate"):
             capsys.readouterr()
-            assert main([command, "--config", path] + flag) == 2
+            assert main([command, "--config", path, "--threads", value]) == 2
             record = json.loads(capsys.readouterr().out)
             assert record["error"] == "ConfigError" and "threads" in record["message"]
     assert not (tmp_path / "out").exists()

@@ -104,8 +104,8 @@ def test_top_two_empirics_match_multiplicity_adjusted_form():
     # overstates the probability; the adjusted form matches the simulation
     stats = run_stats(14, 1200, 0.5, 101)
     emp = float(np.mean((stats["m1"] <= 2.0) & (stats["m2"] <= 1.0)))
-    qs = [QSample(q=1.0, w=1.0, c_value=2.0)]
-    plain = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, np.ones(len(qs)))
+    qs = QSample(q=np.array([1.0]), w=np.array([1.0]), c_value=np.array([2.0]))
+    plain = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, np.ones(qs.q.size))
     adjusted = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, [0.5])
     print(f"top-two: emp={emp:.4f} adjusted={adjusted:.4f} plain={plain:.4f}")
     assert abs(emp - adjusted) < 0.05

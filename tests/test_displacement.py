@@ -11,7 +11,6 @@ from brwre.displacement import (
     brood_flat,
     exceedance_masses,
     norming_constant,
-    sample_brood,
 )
 from brwre.environment import EnvironmentModel
 from brwre.limit_laws import LimitConfig, sample_limit_point_process
@@ -30,7 +29,7 @@ def test_norming_constant_examples():
 
 
 def test_full_dep_brood_identical(rng):
-    x = sample_brood(DisplacementModel.full_dep(2.0, 0.5), 3, rng)
+    x = brood_flat(DisplacementModel.full_dep(2.0, 0.5), np.array([3]), rng)
     assert x.size == 3
     assert x[0] == x[1] == x[2]
 
@@ -149,14 +148,14 @@ def test_axis_atoms_single_nonzero(rng):
         2.0, [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
     )
     for _ in range(50):
-        x = sample_brood(model, 2, rng)
+        x = brood_flat(model, np.array([2]), rng)
         assert (x != 0.0).sum() == 1
 
 
 def test_angular_brood_size_cap(rng):
     model = DisplacementModel.diagonal_angular(2.0, 2)
     with pytest.raises(ValueError):
-        sample_brood(model, 3, rng)
+        brood_flat(model, np.array([3]), rng)
 
 
 def test_angular_standardisation_and_derived_p():

@@ -45,7 +45,7 @@ def fresh_stream(model, rng) -> EnvStream:
 
 
 def test_martingale_limit_deterministic_is_one(rng):
-    assert sample_martingale_limit(BINARY, 12, True, rng) == 1.0
+    assert sample_martingale_limit(BINARY, 12, True, rng, size=1)[0] == 1.0
 
 
 def test_martingale_limit_unconditioned_mean(rng):
@@ -56,7 +56,7 @@ def test_martingale_limit_unconditioned_mean(rng):
 
 def test_martingale_limit_conditioned_positive(rng):
     assert np.all(sample_martingale_limit(MIXTURE, 8, True, rng, size=200) > 0.0)
-    assert sample_martingale_limit(MIXTURE, 8, True, rng) > 0.0
+    assert sample_martingale_limit(MIXTURE, 8, True, rng, size=1)[0] > 0.0
 
 
 # -------------------------------------------------------------------- series
@@ -397,8 +397,8 @@ def test_population_walk_matches_exact_generation_pmfs(rng):
 def test_cluster_vector_binary(rng):
     sampler = ClusterSampler(fresh_stream(BINARY, rng), CFG)
     for _ in range(40):
-        v, sizes = sampler.sample_brood_vector(rng)
-        assert v == 2
+        v, sizes = sampler.sample_brood_vector(rng, [0])
+        assert v[0] == 2
         assert sizes[0] == sizes[1]
         assert sizes[0] >= 1 and (sizes[0] & (sizes[0] - 1)) == 0  # power of two
 
@@ -496,34 +496,54 @@ def test_q_angular_matches_full_dep_per_sample(rng):
             assert abs(a.q - b.q) <= 1e-6 + CFG.series_tol * abs(a.q)
 
 
+@pytest.mark.parametrize("disp, method", [
+    (DisplacementModel.iid(2.0, 0.6), "shortcut"),
+    (DisplacementModel.full_dep(2.0, 0.6), "shortcut"),
+    (DisplacementModel.diagonal_angular(2.0, 3, 0.6), "general"),
+])
+def test_one_draw_is_row_zero_of_a_block_of_one(disp, method):
+    # size=None is the one one-draw mode left: row 0 of a block of one, on
+    # the same stream, with plain floats for the fields and the scale
+    one = sample_q(disp, BOUNDED_MIX, CFG, np.random.default_rng(41), method)
+    block = sample_q(disp, BOUNDED_MIX, CFG, np.random.default_rng(41), method, size=1)
+    for field in ("q", "w", "c_value"):
+        assert type(getattr(one, field)) is float
+        assert getattr(one, field) == getattr(block, field)[0]
+    cfg = LimitConfig(u_min=0.2)
+    m, scale = sample_limit_point_process(disp, BOUNDED_MIX, cfg, np.random.default_rng(42))
+    measures, scales = sample_limit_point_process(disp, BOUNDED_MIX, cfg, np.random.default_rng(42), size=1)
+    assert m.n_atoms > 0
+    assert np.array_equal(m.locations, measures[0].locations)
+    assert np.array_equal(m.multiplicities, measures[0].multiplicities)
+    assert type(scale) is float and scale == scales[0]
+
+
 # ------------------------------------------------------------------ limit CDFs
 
 
 def test_limit_max_cdf_degenerate():
-    samples = [QSample(q=3.0, w=1.0, c_value=3.0)] * 4
+    samples = QSample(q=np.full(4, 3.0), w=np.ones(4), c_value=np.full(4, 3.0))
     for x in (0.5, 1.0, 2.0):
         assert limit_max_cdf(samples, x, 2.0) == pytest.approx(math.exp(-3.0 * x ** -2.0))
 
 
 def test_limit_max_cdf_binary_value(rng):
-    qs = [sample_q(DisplacementModel.iid(2.0, 1.0), BINARY, CFG, rng) for _ in range(50)]
+    qs = sample_q(DisplacementModel.iid(2.0, 1.0), BINARY, CFG, rng, size=50)
     assert limit_max_cdf(qs, 1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-6)
 
 
 def test_limit_max_cdf_monotone_to_one():
-    samples = [QSample(q=2.0, w=1.0, c_value=2.0)]
+    samples = QSample(q=np.array([2.0]), w=np.array([1.0]), c_value=np.array([2.0]))
     vals = [limit_max_cdf(samples, x, 2.0) for x in (1.0, 5.0, 50.0, 5000.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 0.999999
 
 
 def test_limit_max_cdf_homogeneity_algebraic():
-    samples = [QSample(q=q, w=1.0, c_value=q) for q in (0.5, 2.0, 7.0)]
+    qs = np.array([0.5, 2.0, 7.0])
+    samples = QSample(q=qs, w=np.ones(3), c_value=qs)
     s = 1.7
-    scaled = [
-        QSample(q=q.q * s ** 2.0, w=q.w, c_value=q.c_value)
-        for q in samples
-    ]
+    scaled = QSample(q=samples.q * s ** 2.0, w=samples.w, c_value=samples.c_value)
     for x in (0.8, 1.0, 2.5):
         assert limit_max_cdf(samples, x / s, 2.0) == pytest.approx(
             limit_max_cdf(scaled, x, 2.0), rel=1e-12
@@ -531,7 +551,7 @@ def test_limit_max_cdf_homogeneity_algebraic():
 
 
 def test_joint_min_max_examples(rng):
-    qs = [sample_q(DisplacementModel.iid(2.0, 1.0), BINARY, CFG, rng) for _ in range(20)]
+    qs = sample_q(DisplacementModel.iid(2.0, 1.0), BINARY, CFG, rng, size=20)
     # p = 1: no mass on the negative side, y is irrelevant
     a = joint_min_max_cdf(qs, 1.0, 0.3, 2.0, 1.0)
     b = joint_min_max_cdf(qs, 1.0, 30.0, 2.0, 1.0)
@@ -542,9 +562,9 @@ def test_joint_min_max_examples(rng):
 
 
 def test_top_two_examples(rng):
-    qs = [sample_q(DisplacementModel.iid(2.0, 1.0), BINARY, CFG, rng) for _ in range(20)]
+    qs = sample_q(DisplacementModel.iid(2.0, 1.0), BINARY, CFG, rng, size=20)
     # singleton clusters: the top-two law of the undecorated Poisson process
-    ones = np.ones(len(qs))
+    ones = np.ones(qs.q.size)
     assert top_two_cdf_multiplicity_adjusted(qs, 1.0, 1.0, 2.0, 1.0, ones) == pytest.approx(math.exp(-2.0), rel=1e-6)
     with pytest.raises(ArgumentOrder):
         top_two_cdf_multiplicity_adjusted(qs, 2.0, 1.0, 2.0, 1.0, ones)
@@ -554,9 +574,9 @@ def test_top_two_examples(rng):
 
 
 def test_top_two_multiplicity_adjusted_bounds(rng):
-    qs = [sample_q(DisplacementModel.iid(2.0, 0.5), BINARY, CFG, rng) for _ in range(20)]
-    plain = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, np.ones(len(qs)))
-    adjusted = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, [0.5] * len(qs))
+    qs = sample_q(DisplacementModel.iid(2.0, 0.5), BINARY, CFG, rng, size=20)
+    plain = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, np.ones(qs.q.size))
+    adjusted = top_two_cdf_multiplicity_adjusted(qs, 1.0, 2.0, 2.0, 0.5, [0.5] * qs.q.size)
     assert adjusted < plain  # size-one clusters are rarer than clusters
 
 

@@ -77,9 +77,9 @@ def test_rounds_redo_rejected_rows_and_back_off():
 
 
 def test_martingale_survival_restart_gives_up(small_cap, rng):
-    assert sample_martingale_limit(SUBCRITICAL, 30, False, rng) == 0.0
+    assert sample_martingale_limit(SUBCRITICAL, 30, False, rng, size=1)[0] == 0.0
     with pytest.raises(RejectionCapExceeded, match=f"martingale limit W.*{CAP} attempts"):
-        sample_martingale_limit(SUBCRITICAL, 30, True, rng)
+        sample_martingale_limit(SUBCRITICAL, 30, True, rng, size=1)
     # in a block, the rows that never survive exhaust the rounds
     with pytest.raises(RejectionCapExceeded, match=f"martingale limit W.*{CAP} attempts"):
         sample_martingale_limit(SUBCRITICAL, 30, True, rng, size=5)
@@ -107,7 +107,7 @@ def test_cluster_size_draw_gives_up(small_cap, monkeypatch, rng):
     draw_categories = limit_laws._draw_categories
     monkeypatch.setattr(limit_laws, "_draw_categories", lambda table, rows, rng: gens.pop(0))
     with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
-        sampler.sample_size(rng)
+        sampler.sample_size(rng, [0])
     assert calls == [([0], [3])] * CAP
     # in a block, each round redoes only the draws that died: here the one
     # at generation 2 survives its first walk.  After a round that accepts
@@ -119,14 +119,14 @@ def test_cluster_size_draw_gives_up(small_cap, monkeypatch, rng):
     monkeypatch.setattr(limit_laws, "_draw_categories", draw_categories)
     _dying_walks(monkeypatch)
     with pytest.raises(RejectionCapExceeded, match=f"cluster size draw.*{CAP} attempts"):
-        sampler.sample_size(rng)
+        sampler.sample_size(rng, [0])
 
 
 def test_brood_vector_rejection_gives_up(small_cap, monkeypatch, rng):
     sampler = ClusterSampler(EnvStream(BINARY, rng), LimitConfig())
     calls = _dying_walks(monkeypatch)
     with pytest.raises(RejectionCapExceeded, match=f"brood-vector rejection.*{CAP} attempts"):
-        sampler.sample_brood_vector(rng)
+        sampler.sample_brood_vector(rng, [0])
     assert len(calls) == CAP
     assert all(len(rows) == 2 for rows, _ in calls)  # every binary brood has two members
     # a block of three draws accepts none in its first round, and then
