@@ -48,7 +48,7 @@ from .limit_laws import (
     sample_q,
     top_two_cdf_multiplicity_adjusted,
 )
-from .measures import PointMeasure
+from .measures import MeasureBlock, PointMeasure
 from .offspring import (
     Binomial,
     Deterministic,

@@ -200,8 +200,11 @@ def _chunk_bounds(ends: np.ndarray, chunk: int) -> list:
     total = int(ends[-1])
     cuts = np.searchsorted(ends, np.arange(chunk, total, chunk)) + 1
     # the brood that reaches the last child leaves only childless parents
-    cuts = np.unique(cuts[ends[cuts - 1] < total])
-    return [0, *cuts.tolist(), ends.size]
+    cuts = cuts[ends[cuts - 1] < total]
+    # cuts are sorted: drop repeats by a mask (np.unique imports numpy.ma)
+    new = np.ones(cuts.size, dtype=bool)
+    new[1:] = cuts[1:] != cuts[:-1]
+    return [0, *cuts[new].tolist(), ends.size]
 
 
 def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, rng):

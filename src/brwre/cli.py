@@ -28,6 +28,7 @@ from .config import ExperimentConfig, config_hash, load_config
 from .csv_writer import write_blocks, write_csv
 from .errors import BrwreError, ConfigError, NoSurvivingReplication
 from .limit_laws import EnvStream, QSample
+from .measures import MeasureBlock
 
 
 def _write_atoms(path: str, index_name: str, measures, meta: str) -> None:
@@ -138,14 +139,11 @@ def _draw_q_samples(cfg: ExperimentConfig, size: int) -> QSample:
 
 def _draw_pp(cfg: ExperimentConfig, size: int):
     rng = brw.replication_rng(cfg.seed, _PP_STREAM)
-    draws, scales = [], []
-    for block in _blocks(size):
-        m, s = limit_laws.sample_limit_point_process(
-            cfg.displacement, cfg.environment, cfg.limit, rng, size=block
-        )
-        draws += m
-        scales.append(s)
-    return draws, np.concatenate(scales)
+    draws, scales = zip(*(
+        limit_laws.sample_limit_point_process(cfg.displacement, cfg.environment, cfg.limit, rng, size=block)
+        for block in _blocks(size)
+    ))
+    return MeasureBlock.concat(draws), np.concatenate(scales)
 
 
 def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
@@ -163,7 +161,9 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
     write_csv(os.path.join(out, "limit_cdf.csv"), ["x", "cdf"], cdf_columns, meta)
 
     draws, _ = _draw_pp(cfg, size)
-    _write_atoms(os.path.join(out, "limit_pp.csv"), "draw", draws, meta)
+    draw_index = np.repeat(np.arange(len(draws)), np.diff(draws.offsets))
+    pp_columns = [draw_index, draws.locations, draws.multiplicities]
+    write_csv(os.path.join(out, "limit_pp.csv"), ["draw", "location", "multiplicity"], pp_columns, meta)
 
     stream = EnvStream(cfg.environment, brw.replication_rng(cfg.seed, _Q_STREAM))
     constants = {}
@@ -202,7 +202,7 @@ def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int
     pp_draws, pp_scales = _draw_pp(cfg, min(cfg.limit.n_limit_samples, 4000))
     pp_floor = float(pp_scales.max()) * cfg.limit.u_min if pp_scales.size else 0.0
     limit_cdf = [limit_laws.limit_max_cdf(q_samples, x, cfg.displacement.alpha) for x in grid]
-    limit_counts = _count_matrix(pp_draws, xs)
+    limit_counts = pp_draws.counts_above(xs)
     # atoms below retain_delta were never kept, nor limit points below pp_floor
     laplace_cols = [j for j, x in enumerate(grid) if x > max(cfg.simulation.retain_delta, pp_floor)]
 

@@ -3,10 +3,11 @@
 Every sampler draws a block of independent draws at once, one row per
 draw; only :func:`sample_q` and :func:`sample_limit_point_process` also
 take ``size=None``, which returns row 0 of a block of one.  The evaluators
-of the limit laws read the columns of a :class:`QSample` block.  Everything
-quenched lives on an
-:class:`EnvStream`: a block of i.i.d. environments, one per row, whose law
-indices fill one matrix row by row.  The mean products come from a
+of the limit laws read the columns of a :class:`QSample` block, and a block
+of point-process draws is one :class:`brwre.measures.MeasureBlock`, a row of
+atoms per draw.  Everything quenched lives on an :class:`EnvStream`: a block
+of i.i.d. environments, one per row, whose law indices fill one matrix row
+by row.  The mean products come from a
 ``cumprod`` over the law means and the extinction probabilities from one
 array pgf step per generation and law, indexed so that entry i of a row
 describes the population grown for i generations with the newest drawn law
@@ -30,7 +31,8 @@ brood-vector member (stopped past 10^14).  Survival restarts and rejections
 redo only the rows they did not accept, round after round through
 :func:`brwre.errors.first_accepted`.  The point process then draws its point
 counts, one step per point (:func:`brwre.displacement.draw_steps`) and the
-clusters, and groups the block's atoms (:func:`brwre.measures.group_by_draw`).
+clusters, and groups the block's atoms into one CSR block of measures, one
+row per draw (:func:`brwre.measures.group_by_draw`).
 
 The general route of the mixing scale Q reads the tail measure only through
 the exceedance-count masses of :func:`brwre.displacement.exceedance_masses`:
@@ -481,22 +483,17 @@ def sample_q(
     """
     if method not in ("auto", "shortcut", "general"):
         raise ValueError(f"unknown method {method!r}")
+    # refused before the first draw, so that a refusal leaves rng as it was
+    if method == "shortcut" and disp.mode == "discrete_angular":
+        raise ValueError("discrete_angular mode has no shortcut; use the general method")
     w = sample_martingale_limit(env_model, cfg.w_horizon, True, rng, 1 if size is None else size)
     stream = EnvStream(env_model, rng, w.size)
-    use_general = method == "general" or (
-        method == "auto" and disp.mode == "discrete_angular"
-    )
-    if use_general:
+    if method == "general" or disp.mode == "discrete_angular":
         sv = _general_q_series(disp, stream, cfg)
         q = w * sv.value
-    elif disp.mode == "iid":
-        sv = cluster_norm_series("cluster_size", stream, cfg)
-        q = w * disp.p * sv.value
-    elif disp.mode == "full_dep":
-        sv = cluster_norm_series("cluster_vector", stream, cfg)
-        q = w * disp.p * sv.value
     else:
-        raise ValueError("discrete_angular mode has no shortcut; use the general method")
+        sv = cluster_norm_series("cluster_size" if disp.mode == "iid" else "cluster_vector", stream, cfg)
+        q = w * disp.p * sv.value
     if size is None:
         return QSample(float(q[0]), float(w[0]), float(sv.value[0]))
     return QSample(q, w, sv.value)
@@ -555,8 +552,9 @@ def sample_limit_point_process(
     size: Optional[int] = None,
 ):
     """Draws of the limit extremal process, each with its realized scale: a
-    list of ``size`` measures and an array of their scales, or for ``None``
-    measure 0 and scale 0 of a block of one.
+    :class:`brwre.measures.MeasureBlock` of ``size`` rows, one per draw, and
+    an array of their scales, or for ``None`` row 0 (a
+    :class:`brwre.measures.PointMeasure`) and scale 0 of a block of one.
 
     Radial points fall on (u_min, inf) with the alpha-homogeneous intensity;
     every point carries a cluster drawn from the quenched laws of its draw's

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -326,6 +329,27 @@ def test_chunk_bounds_keep_broods_whole():
         assert min(sizes) > 0 and sum(sizes) == counts.sum()
         # each chunk but the last ends with the brood that reaches a multiple of the chunk
         assert all(ends[b - 1] // chunk > (ends[b - 1] - counts[b - 1]) // chunk for b in bounds[1:-1])
+
+
+def test_replication_imports_no_masked_arrays():
+    # np.unique on integers imports numpy.ma; a fresh process (and every
+    # forked pool worker) would pay that import in its first replication
+    code = (
+        "import sys\n"
+        "from brwre import brw\n"
+        "from brwre.displacement import DisplacementModel\n"
+        "from brwre.environment import EnvironmentModel\n"
+        "from brwre.offspring import Poisson\n"
+        "env = EnvironmentModel((Poisson(2.0), Poisson(3.0)), (0.5, 0.5))\n"
+        "cfg = brw.SimConfig(n=8, env=env, disp=DisplacementModel.iid(2.0, 0.5), seed=3)\n"
+        "assert brw.simulate(cfg, brw.replication_rng(3, 0)).z[-1] > 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(brw.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_first_argmax_across_chunks(monkeypatch):

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from brwre import brw, cli, csv_writer, stats
+from brwre import brw, cli, config, csv_writer, stats
 from brwre.cli import main
 from brwre.config import (
     ComparisonSettings,
@@ -564,9 +564,35 @@ def test_cli_population_cap_error_record(tmp_path, capsys):
     assert record["error"] == "PopulationCapExceeded"
 
 
-def test_cli_bad_config_exit_code(tmp_path):
+def test_cli_bad_config_exit_code(tmp_path, capsys):
     missing = str(tmp_path / "nope.yaml")
     assert main(["check", "--config", missing]) == 2
+    # a document that does not parse is a configuration error, with its record
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("a: [1, 2\n")
+    capsys.readouterr()
+    assert main(["check", "--config", str(broken)]) == 2
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "ConfigError" and "cannot parse config" in record["message"]
+    for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        with pytest.raises(yaml.parser.ParserError):
+            yaml.load(broken.read_text(), Loader=loader)
+
+
+def test_config_loaders_build_equal_documents(tmp_path):
+    # the libyaml loader, where PyYAML has it, reads every document as the
+    # pure-Python safe loader does
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    texts = [dump_config(small_config(environment=EnvironmentModel((Poisson(2.0), Geometric(0.4)), (0.3, 0.7))))]
+    for name in sorted(os.listdir(os.path.join(root, "configs"))):
+        with open(os.path.join(root, "configs", name)) as fh:
+            texts.append(fh.read())
+    assert len(texts) >= 3
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert config._LOADER is loader
+    for text in texts:
+        doc = yaml.load(text, Loader=loader)
+        assert doc == yaml.safe_load(text) and isinstance(doc, dict)
 
 
 def test_cli_limit_constants(tmp_path, capsys):
@@ -584,13 +610,15 @@ def test_cli_limit_constants(tmp_path, capsys):
     assert os.path.exists(tmp_path / "out" / "limit_pp.csv")
 
 
-def test_cli_limit_draws_concatenate_blocks(monkeypatch):
+def test_cli_limit_draws_concatenate_blocks(tmp_path, monkeypatch):
     # 19 draws in blocks of 8: every column, measure and scale equals, with
     # ==, those of the block calls 8, 8 and 3 on a fresh generator of the
-    # same stream id (a random environment, so no two draws are alike)
+    # same stream id (a random environment, so no two draws are alike), and
+    # so do the rows `limit --reps 19` writes to limit_pp.csv
     cfg = small_config(
         environment=EnvironmentModel((Poisson(2.0), Poisson(3.0)), (0.5, 0.5)),
         displacement=DisplacementModel.iid(2.0, 0.5),
+        output_dir=str(tmp_path / "out"),
     )
     monkeypatch.setattr(cli, "_BLOCK", 8)
     q = cli._draw_q_samples(cfg, 19)
@@ -610,6 +638,11 @@ def test_cli_limit_draws_concatenate_blocks(monkeypatch):
         assert m.locations.tolist() == e.locations.tolist()
         assert m.multiplicities.tolist() == e.multiplicities.tolist()
     assert scales.tolist() == [s for _, block in pp_blocks for s in block.tolist()]
+    path = write_config(tmp_path, cfg)
+    assert main(["limit", "--config", path, "--reps", "19"]) == 0
+    assert (tmp_path / "out" / "limit_pp.csv").read_bytes() == oracle_csv(
+        ["draw", "location", "multiplicity"], oracle_atom_rows(expected), cli._meta_line(load_config(path))
+    )
 
 
 def test_cli_compare_pass_and_fail(tmp_path):

@@ -23,6 +23,7 @@ from brwre.limit_laws import (
     sample_q,
     top_two_cdf_multiplicity_adjusted,
 )
+from brwre.measures import MeasureBlock, PointMeasure
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
 from pmf_oracle import stream_pmf
 
@@ -479,6 +480,16 @@ def test_q_general_equals_shortcut_per_sample(rng):
             assert abs(a.q - b.q) <= 1e-6 + CFG.series_tol * abs(a.q)
 
 
+def test_q_shortcut_refusal_draws_nothing():
+    # an angular model has no closed shortcut: the refusal comes before the
+    # first draw, so the generator is where the caller left it
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no shortcut"):
+        sample_q(DisplacementModel.diagonal_angular(2.0, 3), BOUNDED_MIX, CFG, rng, "shortcut", size=64)
+    assert rng.bit_generator.state == before
+
+
 def test_q_general_rejects_unbounded_progeny(rng):
     with pytest.raises(UnboundedProgenyInGeneralMode):
         sample_q(DisplacementModel.iid(2.0, 1.0), POISSON2, CFG, rng, "general")
@@ -512,6 +523,7 @@ def test_one_draw_is_row_zero_of_a_block_of_one(disp, method):
     cfg = LimitConfig(u_min=0.2)
     m, scale = sample_limit_point_process(disp, BOUNDED_MIX, cfg, np.random.default_rng(42))
     measures, scales = sample_limit_point_process(disp, BOUNDED_MIX, cfg, np.random.default_rng(42), size=1)
+    assert isinstance(m, PointMeasure) and isinstance(measures, MeasureBlock) and len(measures) == 1
     assert m.n_atoms > 0
     assert np.array_equal(m.locations, measures[0].locations)
     assert np.array_equal(m.multiplicities, measures[0].multiplicities)

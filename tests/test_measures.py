@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brwre.measures import PointMeasure, group_by_draw
+from brwre.measures import MeasureBlock, PointMeasure, group_by_draw
 
 
 def test_from_locations_groups_duplicates():
@@ -78,3 +78,79 @@ def test_group_by_draw_merges_and_drops():
 def test_empty():
     m = PointMeasure.empty()
     assert m.n_atoms == 0 and m.total_mass == 0
+
+
+def rows_of(block):
+    return [list(zip(m.locations.tolist(), m.multiplicities.tolist())) for m in block]
+
+
+def test_block_rejects_what_a_measure_rejects_row_by_row():
+    ok = ([0, 2, 3], [-1.0, 2.0, 1.0], [1, 2, 3])
+    MeasureBlock(*ok)
+    bad = [
+        ([0, 2, 3], [-1.0, 0.0, 1.0], [1, 2, 3]),  # a zero location
+        ([0, 2, 3], [-1.0, 2.0, 1.0], [1, 0, 3]),  # a multiplicity below 1
+        ([0, 2, 3], [-1.0, 2.0, 1.0], [1, -4, 3]),
+        ([0, 3], [-1.0, 2.0, 2.0], [1, 2, 3]),  # a repeated location within a row
+        ([0, 3], [-1.0, 2.0, 1.0], [1, 2, 3]),  # a decreasing location within a row
+        ([0, 1, 1, 3], [5.0, 2.0, 1.0], [1, 2, 3]),  # decreasing after an empty row
+        ([1, 2, 3], [-1.0, 2.0, 1.0], [1, 2, 3]),  # offsets that do not start at 0
+        ([0, 2, 1, 3], [-1.0, 2.0, 1.0], [1, 2, 3]),  # offsets that decrease
+        ([0, 2, 2], [-1.0, 2.0, 1.0], [1, 2, 3]),  # offsets that miss the atom count
+        ([0, 2, 4], [-1.0, 2.0, 1.0], [1, 2, 3]),
+        ([], [], []),  # no offsets at all
+        ([0, 2, 3], [-1.0, 2.0, 1.0], [1, 2]),  # unequal lengths
+    ]
+    for case in bad:
+        with pytest.raises(ValueError):
+            MeasureBlock(*case)
+    # rows may start at or below the end of the row before; empty rows sit
+    # at the front, in the middle and at the end
+    block = MeasureBlock([0, 0, 2, 2, 4, 4], [1.0, 3.0, 3.0, 4.0], [1, 2, 3, 4])
+    assert len(block) == 5 and rows_of(block) == [[], [(1.0, 1), (3.0, 2)], [], [(3.0, 3), (4.0, 4)], []]
+    with pytest.raises(IndexError):
+        block[5]
+    assert len(MeasureBlock([0], [], [])) == 0
+    for a in (block.offsets, block.locations, block.multiplicities, block[1].locations):
+        assert not a.flags.writeable
+
+
+def test_block_counts_equal_per_row_counts():
+    rng = np.random.default_rng(5)
+    size = 300
+    draws = rng.integers(0, size, 3000)
+    draws[draws % 7 == 0] += 1  # rows with no atoms, among them row 0
+    locs = rng.choice([-3.0, -1.0, 0.5, 1.0, 2.0, 4.0], 3000) * rng.integers(1, 6, 3000)
+    block = group_by_draw(draws, locs, rng.integers(1, 4, 3000), size + 1)
+    assert block.locations.size > 1000 and block[0].n_atoms == 0
+    assert sum(m.n_atoms == 0 for m in block) > 20
+    xs = (-np.inf, -4.0, 0.5, 1.0, 2.0, 2.5, 8.0, 20.0, np.inf)  # several at an atom's exact location
+    counts = block.counts_above(xs)
+    assert counts.dtype == np.int64 and counts.shape == (size + 1, len(xs))
+    assert counts.tolist() == [[m.count_above(x) for x in xs] for m in block]
+    assert MeasureBlock([0, 0], [], []).counts_above(xs).tolist() == [[0] * len(xs)]
+    assert block.counts_above(()).shape == (size + 1, 0)
+
+
+def test_concat_equals_one_grouping():
+    # blocks with empty rows at their edges, joined, equal one grouping of
+    # the same atoms over all their rows
+    rng = np.random.default_rng(8)
+    sizes = (5, 1, 6, 4)
+    draws = rng.integers(1, 15, 200)
+    draws = draws[(draws != 5) & (draws != 6) & (draws != 11)]  # empty rows 0, 5, 6, 11, 15
+    locs = rng.choice([-2.0, 1.0, 3.0], draws.size) * rng.integers(1, 3, draws.size)
+    mults = rng.integers(1, 4, draws.size)
+    starts = np.cumsum((0,) + sizes)
+    blocks = [
+        group_by_draw(draws[sel] - lo, locs[sel], mults[sel], hi - lo)
+        for lo, hi in zip(starts, starts[1:])
+        for sel in [(draws >= lo) & (draws < hi)]
+    ]
+    assert [len(b) for b in blocks] == list(sizes)
+    assert [[m.n_atoms == 0 for m in b] for b in blocks] == [
+        [True, False, False, False, False], [True], [True, False, False, False, False, True], [False] * 3 + [True]
+    ]
+    joined, whole = MeasureBlock.concat(blocks), group_by_draw(draws, locs, mults, sum(sizes))
+    for field in ("offsets", "locations", "multiplicities"):
+        assert getattr(joined, field).tolist() == getattr(whole, field).tolist()
