@@ -10,7 +10,7 @@ array operations per threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,7 +106,7 @@ class MeasureBlock:
         object.__setattr__(self, "multiplicities", mult)
 
     @classmethod
-    def concat(cls, blocks: List["MeasureBlock"]) -> "MeasureBlock":
+    def concat(cls, blocks: Sequence["MeasureBlock"]) -> "MeasureBlock":
         """The rows of ``blocks``, in order, as one block."""
         shifts = np.cumsum([0] + [b.locations.size for b in blocks])
         return cls(
