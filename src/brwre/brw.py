@@ -207,6 +207,90 @@ def _chunk_bounds(ends: np.ndarray, chunk: int) -> list:
     return [0, *cuts[new].tolist(), ends.size]
 
 
+# A chunk with at most this share of its parents beyond +-s (see
+# _candidate_leaves) places only its candidate leaves.  Sparse and dense cost
+# the same at a share of about 0.14: on one-chunk binary and mixture leaf
+# generations (n = 13..17) the sparse branch took 0.85-0.96 of the dense time
+# at shares up to 0.134, and 1.00-1.18 between 0.142 and 0.21 (2-vCPU x86-64
+# VM with AVX-512, numpy 2.4.6).  Mixture n = 16 chunks lie below 0.11, binary
+# n = 18 below 0.05, and every n = 12 chunk of both shipped configs above 0.6.
+SPARSE_SHARE = 0.125
+
+
+def _kth_extreme_leaf(p, brood, ends, first_leaf: int, x, k: int, top: bool, j: int):
+    """The k-th largest (``top``) or smallest leaf of the parents with the
+    highest or lowest positions ``p``, taken in turn from the extreme one, j,
+    until they have k leaves; None if the first 4k of them have fewer."""
+    values, rest = [], p
+    for _ in range(4 * k):
+        stop = int(ends[j]) - first_leaf
+        values.append(p[j] + x[stop - brood[j] : stop])
+        if sum(v.size for v in values) >= k:
+            v = np.concatenate(values)
+            return -np.partition(-v, k - 1)[k - 1] if top else np.partition(v, k - 1)[k - 1]
+        if rest is p:
+            rest = p.copy()
+        rest[j] = -np.inf if top else np.inf
+        j = int(rest.argmax() if top else rest.argmin())
+    return None
+
+
+def _candidate_leaves(p, brood, ends, first_leaf: int, x, s: float, thr_big: float, k: int):
+    """The chunk's leaves that can matter, or None when every leaf is to be
+    placed: when more than ``SPARSE_SHARE`` of the parents lie beyond +-s, or
+    a position is not finite, or a step is NaN.
+
+    ``p``, ``brood`` and ``ends`` are the chunk's parents' positions, brood
+    sizes and cumulative leaf counts (from ``first_leaf``), ``x`` its steps.
+    Returns the candidates' chunk leaf indices, their parents' chunk indices,
+    their positions and their |steps|, not in leaf order.
+
+    With a the chunk's smallest step clipped to [-s, s], a leaf of parent j
+    whose step is small (|x| <= s) lies in [fl(p_j + a), fl(p_j + s)], since
+    rounding is monotone.  So the candidates are every leaf whose step is not
+    small, and every leaf of each parent j with fl(p_j + s) >= U or
+    > ``thr_big``, or fl(p_j + a) <= L or < -``thr_big``, where U and L are
+    the k-th largest and smallest leaves of the parents with the highest and
+    lowest positions.  They hold every retained leaf, the k largest and the k
+    smallest (k leaves are >= U, k are <= L), and every leaf equal to the
+    maximum; big steps (|x| above the jump or the retention threshold, both
+    >= 2s) are theirs too.  A NaN step or position would break the order
+    that this rests on (argmax and partition put NaN first and last).
+    """
+    if np.count_nonzero(p > s) + np.count_nonzero(p < -s) > SPARSE_SHARE * p.size:
+        return None
+    xmin = float(x.min())
+    high, low = int(p.argmax()), int(p.argmin())
+    # min and max are NaN if any value is
+    if np.isnan(xmin) or not (np.isfinite(p[high]) and np.isfinite(p[low])):
+        return None
+    upper = _kth_extreme_leaf(p, brood, ends, first_leaf, x, k, True, high)
+    lower = _kth_extreme_leaf(p, brood, ends, first_leaf, x, k, False, low)
+    if upper is None or lower is None:
+        return None
+    a = max(xmin, -s)
+    upper = min(upper, np.nextafter(thr_big, np.inf))
+    lower = max(lower, np.nextafter(-thr_big, -np.inf))
+    wide = (p + s >= upper) | (p + a <= lower)
+    steps = x > s
+    if xmin < -s:
+        steps |= x < -s
+    step_leaf = np.flatnonzero(steps)
+    step_parent = np.searchsorted(ends, step_leaf + first_leaf, side="right")
+    # every leaf of a wide parent is a candidate already
+    lone = ~wide[step_parent]
+    wide = np.flatnonzero(wide)
+    size = brood[wide]
+    idx = np.concatenate([
+        np.arange(size.sum()) + np.repeat(ends[wide] - first_leaf - np.cumsum(size), size),
+        step_leaf[lone],
+    ])
+    parent = np.concatenate([np.repeat(wide, size), step_parent[lone]])
+    step = x[idx]
+    leaf = p[parent] + step
+    return idx, parent, leaf, np.abs(step, out=step)
+
+
 def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, rng):
     """Draw, place and reduce the leaf generation in brood-aligned chunks.
 
@@ -221,6 +305,11 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
     own step is big, and the argmax leaf's biggest step is its own if its |X|
     is strictly above its parent's, else its parent's.
 
+    A chunk whose parents mostly lie within s = min(jump, retention
+    threshold)/2 of 0 places only its candidate leaves
+    (:func:`_candidate_leaves`), which give the same reduction; any other
+    chunk places every leaf.
+
     The draws equal those of one :func:`draw_generation` call, with any bit
     generator: :func:`brood_flat` draws one uniform per step, so the chunks'
     consecutive draws take the values of one batched draw and leave ``rng``
@@ -229,6 +318,7 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
     n = config.n
     thr_jump = config.jump_eta * b
     thr_big = config.retain_delta * b
+    s = 0.5 * min(thr_jump, thr_big)
     ends = np.cumsum(counts)
     total = int(ends[-1])
     bounds = _chunk_bounds(ends, LEAF_CHUNK)
@@ -239,29 +329,46 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
         brood = counts[lo_parent:hi_parent]
         first_leaf = int(ends[lo_parent - 1]) if lo_parent else 0
         x = brood_flat(config.disp, brood, rng)
-        leaf = np.repeat(pos[lo_parent:hi_parent], brood)
-        leaf += x
-        # the displacements are ours (see brood_flat): |x| overwrites them
-        absx = np.abs(x, out=x)
+        k = min(config.top_k, x.size)
+        p = pos[lo_parent:hi_parent]
+        sparse = _candidate_leaves(p, brood, ends[lo_parent:hi_parent], first_leaf, x, s, thr_big, k)
+        if sparse is None:
+            leaf = np.repeat(p, brood)
+            leaf += x
+            # the displacements are ours (see brood_flat): |x| overwrites them
+            absx = np.abs(x, out=x)
+        else:
+            idx, parent, leaf, absx = sparse
         big = absx > thr_jump
         big_leaves += np.count_nonzero(big if thr_big == thr_jump else absx > thr_big)
-        big_parents = np.searchsorted(ends, np.flatnonzero(big) + first_leaf, side="right")
+        if sparse is None:
+            big_parents = np.searchsorted(ends, np.flatnonzero(big) + first_leaf, side="right")
+        else:
+            big_parents = parent[big] + lo_parent
         two_jump_leaves += np.count_nonzero(jumps[big_parents] == 1)
         arg = int(np.argmax(leaf))
+        if sparse is not None:
+            # the candidates are out of leaf order: the first argmax is the
+            # lowest leaf index among the maxima
+            tied = np.flatnonzero(leaf == leaf[arg])
+            arg = int(tied[np.argmin(idx[tied])])
         if arg_value is None or leaf[arg] > arg_value:
             arg_value = leaf[arg]
             if config.track_argmax_jump:
-                parent = int(np.searchsorted(ends, first_leaf + arg, side="right"))
+                if sparse is None:
+                    at = int(np.searchsorted(ends, first_leaf + arg, side="right"))
+                else:
+                    at = lo_parent + int(parent[arg])
                 best_abs, best_gen = best
-                max_leaf_jump_gen = n if absx[arg] > best_abs[parent] else int(best_gen[parent])
+                max_leaf_jump_gen = n if absx[arg] > best_abs[at] else int(best_gen[at])
         kept = leaf[np.abs(leaf, out=absx) > thr_big]
         kept /= b
         retained.append(kept)
         # in place: the k largest to the right, then the k smallest to the left
-        # of them (a chunk under 2k leaves is sorted outright).  Two one-kth
+        # of them (fewer than 2k leaves are sorted outright).  Two one-kth
         # calls: numpy's SIMD partition takes a single kth only, and one call
-        # with both took 1.9 against 0.28 ms on 2^17 leaves (AVX-512 host)
-        k = min(config.top_k, leaf.size)
+        # with both took 0.89 against 0.31 ms on 2^17 leaves (2-vCPU x86-64 VM
+        # with AVX-512, numpy 2.4.6)
         if leaf.size >= 2 * k:
             leaf.partition(leaf.size - k)
             leaf[: leaf.size - k].partition(k - 1)

@@ -184,8 +184,15 @@ def cmd_limit(cfg: ExperimentConfig, reps: Optional[int]) -> int:
 
 
 def _count_matrix(measures, xs) -> np.ndarray:
-    """``N[i, j] = measures[i].count_above(xs[j])``."""
-    return np.array([[m.count_above(x) for x in xs] for m in measures])
+    """``N[i, j] = measures[i].count_above(xs[j])``, an int64 matrix: one
+    search per measure of its multiplicities summed from the top atom down."""
+    xs = np.asarray(xs, dtype=float)
+    counts = np.empty((len(measures), xs.size), dtype=np.int64)
+    for row, m in zip(counts, measures):
+        above = np.zeros(m.n_atoms + 1, dtype=np.int64)
+        np.cumsum(m.multiplicities[::-1], out=above[-2::-1])
+        row[:] = above[np.searchsorted(m.locations, xs, side="right")]
+    return counts
 
 
 def cmd_compare(cfg: ExperimentConfig, reps: Optional[int], threads: int) -> int:

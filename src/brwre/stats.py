@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import SupportBelowRetention
-from .measures import PointMeasure
+from .measures import MeasureBlock, PointMeasure
 
 TV_COUNT_CAP = 64
 
@@ -96,11 +96,15 @@ class TestFunction:
 
 
 def laplace_estimate(
-    measures: List[PointMeasure],
+    measures: Union[MeasureBlock, Sequence[PointMeasure]],
     f: TestFunction,
     retention_floor: Optional[float] = None,
 ) -> float:
     """Mean over measures of exp(-sum multiplicity * f(location)).
+
+    ``measures`` is a block, one measure per row, or a sequence of measures,
+    which is read as the block of its rows: f is evaluated once over every
+    atom, and each row's sum is one segment of one ``add.reduceat``.
 
     When a retention floor is supplied, the function's support must start
     strictly above it so that dropped atoms cannot bias the estimate.
@@ -110,9 +114,18 @@ def laplace_estimate(
             f"support starts at {f.support_floor} but atoms below "
             f"{retention_floor} were never retained"
         )
-    if not measures:
+    if not len(measures):
         return 1.0
-    vals = np.empty(len(measures))
-    for i, m in enumerate(measures):
-        vals[i] = np.exp(-m.integrate(f.eval(m.locations))) if m.n_atoms else 1.0
-    return float(vals.mean())
+    if not isinstance(measures, MeasureBlock):
+        measures = MeasureBlock(
+            np.concatenate([[0], np.cumsum([m.n_atoms for m in measures])]),
+            np.concatenate([m.locations for m in measures]),
+            np.concatenate([m.multiplicities for m in measures]),
+        )
+    weights = f.eval(measures.locations) * measures.multiplicities
+    sums = np.zeros(len(measures))
+    # reduceat would sum an empty row as the next row's first atom
+    rows = np.flatnonzero(np.diff(measures.offsets))
+    if rows.size:
+        sums[rows] = np.add.reduceat(weights, measures.offsets[rows])
+    return float(np.exp(-sums).mean())

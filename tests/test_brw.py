@@ -18,9 +18,11 @@ from brwre.brw import (
     simulate,
     simulate_naive,
 )
+from brwre.config import load_config
 from brwre.displacement import DisplacementModel, brood_flat
 from brwre.environment import EnvironmentModel
 from brwre.errors import PopulationCapExceeded
+from brwre.measures import PointMeasure
 from brwre.offspring import Binomial, Deterministic, Finite, Geometric, Poisson
 
 BINARY = EnvironmentModel.single(Deterministic(2))
@@ -366,6 +368,248 @@ def test_first_argmax_across_chunks(monkeypatch):
     assert diags.max_leaf_jump_gen == 1
     assert top.tolist() == [6.0, 6.0] and bottom.tolist() == [2.0, 2.0]
     assert atoms.locations.tolist() == [2.0, 6.0] and atoms.multiplicities.tolist() == [2, 4]
+
+
+def dense_reduction(config, b, counts, pos, jumps, best, x):
+    """Every leaf placed at once and sorted: the plain reduction that each
+    chunk of ``_reduce_leaves``, sparse or dense, must give bit for bit.
+    Returns the atoms, top, bottom, ``hist[n]``, the two-jump count and the
+    argmax leaf's biggest-jump generation."""
+    thr_jump, thr_big = config.jump_eta * b, config.retain_delta * b
+    parent = np.repeat(np.arange(counts.size), counts)
+    leaf = pos[parent] + x
+    absx = np.abs(x)
+    arg = int(np.argmax(leaf))
+    best_abs, best_gen = best
+    gen = config.n if absx[arg] > best_abs[parent[arg]] else int(best_gen[parent[arg]])
+    ordered = np.sort(leaf)
+    k = min(config.top_k, leaf.size)
+    two_jumps = counts[jumps >= 2].sum() + np.count_nonzero(jumps[parent[absx > thr_jump]] == 1)
+    return (
+        PointMeasure.from_locations(leaf[np.abs(leaf) > thr_big] / b),
+        ordered[::-1][:k],
+        ordered[:k],
+        int(np.count_nonzero(absx > thr_big)),
+        int(two_jumps),
+        gen if config.track_argmax_jump else None,
+    )
+
+
+def assert_reduction_equal(config, got, want):
+    atoms, top, bottom, diags = got
+    np.testing.assert_array_equal(atoms.locations, want[0].locations)
+    np.testing.assert_array_equal(atoms.multiplicities, want[0].multiplicities)
+    np.testing.assert_array_equal(top, want[1])
+    np.testing.assert_array_equal(bottom, want[2])
+    assert diags.big_jump_generations[config.n] == want[3]
+    assert diags.paths_with_two_big_jumps == want[4]
+    assert diags.max_leaf_jump_gen == want[5]
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Records, chunk by chunk, whether ``_reduce_leaves`` took the sparse branch."""
+    taken = []
+    candidates = brw._candidate_leaves
+
+    def traced(*args):
+        out = candidates(*args)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(brw, "_candidate_leaves", traced)
+    return taken
+
+
+def feed_steps(monkeypatch, x):
+    """Make each ``brood_flat`` call hand out the next steps of ``x``."""
+    at = [0]
+
+    def next_steps(model, brood, rng):
+        at[0] += int(brood.sum())
+        return x[at[0] - int(brood.sum()) : at[0]].copy()
+
+    monkeypatch.setattr(brw, "brood_flat", next_steps)
+
+
+ANGULAR_ZEROS = DisplacementModel.discrete_angular(
+    2.0, [[0.6, -0.8, 0.0], [0.0, 0.6, -0.8], [-0.8, 0.0, 0.6]], [1.0] * 3
+)
+REDUCTION_MODELS = [
+    DisplacementModel.iid(2.0, 1.0),
+    DisplacementModel.iid(1.0, 0.5),
+    DisplacementModel.iid(2.0, 0.0),
+    DisplacementModel.full_dep(2.0, 0.5),
+    ANGULAR_ZEROS,
+]
+
+
+REGIMES = ("sparse", "few", "quiet", "barren", "dense")
+
+
+def leaf_inputs(rng, regime: str, s: float, thr_big: float, brood_max: int, parents: int = 3000, barren: int = 0):
+    """Parents of a leaf generation: brood sizes, positions, jump counters and
+    biggest steps.  ``sparse``: every 50th parent lies beyond +-s, up to 4
+    retention thresholds out, the rest within it; ``few``: one parent on each
+    side is past the retention threshold; ``quiet``: every parent is within
+    +-s/2; ``dense``: three in five parents lie beyond +-s; ``barren``: as
+    ``sparse``, but the 4 * ``barren`` highest and lowest parents have no
+    leaves."""
+    counts = rng.integers(0, brood_max + 1, parents)
+    pos = rng.uniform(-s, s, parents) * (0.5 if regime == "quiet" else 1.0)
+    far = rng.choice([-1.0, 1.0], parents) * rng.uniform(s, 4 * thr_big, parents)
+    if regime in ("sparse", "barren"):
+        pos[::50] = far[::50]
+    if regime == "barren":
+        order = np.argsort(pos)
+        counts[order[: 4 * barren]] = counts[order[-4 * barren :]] = 0
+    elif regime == "few":
+        pos[[7, parents // 2]] = 1.5 * thr_big, -1.5 * thr_big
+        counts[[7, parents // 2]] = 1
+    elif regime == "dense":
+        out = rng.random(parents) < 0.6
+        pos[out] = far[out]
+    jumps = rng.integers(0, 3, parents).astype(np.int16)
+    best = (rng.pareto(2.0, parents) + 1.0, rng.integers(1, 6, parents).astype(np.int16))
+    return counts, pos, jumps, best
+
+
+@pytest.mark.parametrize("chunk", [1 << 17, 64])
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("top_k", [2, 3, 5])
+@pytest.mark.parametrize("disp", REDUCTION_MODELS, ids=lambda d: f"{d.mode}-{d.p}")
+def test_leaf_reduction_equals_dense_reference(disp, top_k, regime, chunk, branches, monkeypatch):
+    monkeypatch.setattr(brw, "LEAF_CHUNK", chunk)
+    env = EnvironmentModel.single(Binomial(3, 0.8)) if disp.n_coords else MIXTURE
+    rng = np.random.default_rng([top_k, chunk, REGIMES.index(regime)])
+    for b, jump_eta in ((400.0, 0.1), (400.0, 0.05), (1e12, 0.1)):
+        config = SimConfig(n=6, env=env, disp=disp, retain_delta=0.1, jump_eta=jump_eta, top_k=top_k)
+        thr_big = config.retain_delta * b
+        s = 0.5 * min(config.jump_eta * b, thr_big)
+        counts, pos, jumps, best = leaf_inputs(rng, regime, s, thr_big, 3 if disp.n_coords else 4, barren=top_k)
+        seed = int(rng.integers(2**32))
+        x = brood_flat(disp, counts, np.random.default_rng(seed))
+        want = dense_reduction(config, b, counts, pos, jumps, best, x)
+        del branches[:]
+        got = brw._reduce_leaves(
+            config, b, counts, pos, jumps, best, np.zeros(7, dtype=np.int64), np.random.default_rng(seed)
+        )
+        assert_reduction_equal(config, got, want)
+        assert len(branches) > (1 if chunk < 1000 else 0)
+        if regime == "dense" or (regime == "barren" and chunk > 1000):
+            # in a barren chunk the 4k extreme parents are childless: too few
+            # leaves to bound the k largest and smallest from
+            assert not any(branches), branches
+        elif regime != "barren":
+            # these layouts put at most 1 in 32 parents of any chunk beyond +-s
+            assert all(branches), branches
+        if regime == "few" and b > 1e6:
+            # one retained leaf on each side: the rest of the top and bottom k
+            # are leaves of the parents within +-s
+            assert np.sign(got[0].locations).tolist() == [-1.0, 1.0]
+
+
+def test_sparse_argmax_ties_keep_the_first_leaf(branches, monkeypatch):
+    # thresholds 10 and s = 5, top_k 2, parents near 0 with unit steps but
+    # for these: leaf 3 (parent 3 at 0, a big step of 50) ties at 50 with
+    # the two leaves of parent 7 (at 45, steps of 5), which alone is wide and
+    # so is placed ahead of it, and with those of parent 40 in a later chunk.
+    # The first is reported: its own step is its biggest, so generation n.
+    monkeypatch.setattr(brw, "LEAF_CHUNK", 32)
+    counts = np.ones(100, dtype=np.int64)
+    counts[[7, 40]] = 2
+    pos = np.linspace(-1.0, 1.0, 100)
+    pos[3], pos[7], pos[40] = 0.0, 45.0, 45.0
+    x = np.ones(102)
+    x[[3, 7, 8, 41, 42]] = 50.0, 5.0, 5.0, 5.0, 5.0
+    best = (np.full(100, 9.0), np.full(100, 2, dtype=np.int16))
+    jumps = np.zeros(100, dtype=np.int16)
+    config = SimConfig(n=4, env=BINARY, disp=IID21, retain_delta=0.1, jump_eta=0.1, top_k=2)
+    feed_steps(monkeypatch, x)
+    got = brw._reduce_leaves(config, 100.0, counts, pos, jumps, best, np.zeros(5, dtype=np.int64), None)
+    assert branches == [True] * 4
+    assert_reduction_equal(config, got, dense_reduction(config, 100.0, counts, pos, jumps, best, x))
+    assert got[3].max_leaf_jump_gen == 4 and got[1].tolist() == [50.0] * 2
+
+
+def test_sparse_bounds_hold_leaves_on_them(branches, monkeypatch):
+    # thresholds 100 and s = 50: the top two leaves, 80, sit exactly at
+    # fl(p + s) of their parent (at 30, both steps exactly s), and the bottom
+    # two, -80, exactly at fl(p + a) of theirs (at -30, both steps -s); no leaf
+    # is retained and no step is past s, so only the bounds' equality keeps them
+    counts = np.ones(60, dtype=np.int64)
+    counts[[10, 20]] = 2
+    pos = np.linspace(-1.0, 1.0, 60)
+    pos[10], pos[20] = 30.0, -30.0
+    x = np.full(62, 0.5)
+    x[[10, 11, 21, 22]] = 50.0, 50.0, -50.0, -50.0
+    best = (np.ones(60), np.ones(60, dtype=np.int16))
+    jumps = np.zeros(60, dtype=np.int16)
+    config = SimConfig(n=3, env=BINARY, disp=IID21, retain_delta=0.1, jump_eta=0.1, top_k=2)
+    feed_steps(monkeypatch, x)
+    got = brw._reduce_leaves(config, 1000.0, counts, pos, jumps, best, np.zeros(4, dtype=np.int64), None)
+    assert branches == [True]
+    assert_reduction_equal(config, got, dense_reduction(config, 1000.0, counts, pos, jumps, best, x))
+    assert got[1].tolist() == [80.0, 80.0] and got[2].tolist() == [-80.0, -80.0]
+
+
+@pytest.mark.parametrize("bad", ["nan_step", "inf_step", "neg_inf_step", "nan_position", "inf_position"])
+def test_non_finite_leaves_equal_dense_reduction(bad, branches, monkeypatch):
+    monkeypatch.setattr(brw, "LEAF_CHUNK", 256)
+    rng = np.random.default_rng(5)
+    config = SimConfig(n=6, env=MIXTURE, disp=DisplacementModel.iid(2.0, 0.5), retain_delta=0.1, top_k=3)
+    b = 400.0
+    counts, pos, jumps, best = leaf_inputs(rng, "sparse", 20.0, 40.0, 4)
+    x = brood_flat(config.disp, counts, rng)
+    if bad.endswith("step"):
+        x[int(counts[:700].sum())] = {"nan_step": np.nan, "inf_step": np.inf, "neg_inf_step": -np.inf}[bad]
+    else:
+        pos[700 if counts[700] else 701] = np.nan if bad == "nan_position" else np.inf
+
+    def reduce(share):
+        monkeypatch.setattr(brw, "SPARSE_SHARE", share)
+        feed_steps(monkeypatch, x)
+        return brw._reduce_leaves(config, b, counts, pos, jumps, best, np.zeros(7, dtype=np.int64), None)
+
+    got = reduce(brw.SPARSE_SHARE)
+    # a NaN step or a NaN or infinite position sends its chunk to the dense
+    # branch; infinite steps are placed like any big step
+    assert branches.count(False) == (0 if bad.endswith("inf_step") else 1)
+    # every chunk dense: a NaN leaf loses the chunk-by-chunk argmax, which a
+    # single argmax over all leaves would report, so NaN cases are checked
+    # against the dense branch alone
+    dense = reduce(-1.0)
+    assert_reduction_equal(config, got, dense[:3] + (
+        dense[3].big_jump_generations[config.n], dense[3].paths_with_two_big_jumps, dense[3].max_leaf_jump_gen,
+    ))
+    if not bad.startswith("nan"):
+        assert_reduction_equal(config, got, dense_reduction(config, b, counts, pos, jumps, best, x))
+
+
+def test_leaf_chunks_take_the_branch_their_density_gives(branches):
+    # the golden listing's n = 18 binary scenarios (p = 1/2, two chunks) and
+    # a mixture n = 16 replication place only candidate leaves; every n = 12
+    # chunk of both shipped configs places every leaf, so the golden listing
+    # and the simulate_naive parity tests hold both branches to their outputs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    binary = load_config(os.path.join(root, "configs", "binary_iid.yaml"))
+    mixture = load_config(os.path.join(root, "configs", "mixture_poisson.yaml"))
+    for disp in (
+        DisplacementModel.iid(2.0, 0.5),
+        DisplacementModel.full_dep(2.0, 0.5),
+        DisplacementModel.diagonal_angular(2.0, 2, 0.5),
+    ):
+        del branches[:]
+        simulate(dataclasses.replace(binary.sim_config(18), disp=disp), replication_rng(binary.seed, 0))
+        assert branches == [True, True], disp.mode
+    del branches[:]
+    simulate(mixture.sim_config(16), replication_rng(mixture.seed, 0))
+    assert len(branches) > 1 and all(branches)
+    for cfg in (binary, mixture):
+        del branches[:]
+        for r in range(5):
+            simulate(cfg.sim_config(12), replication_rng(cfg.seed, r))
+        assert branches and not any(branches)
 
 
 CHUNKED_MODELS = [

@@ -675,6 +675,19 @@ def test_cli_compare_pass_and_fail(tmp_path):
     assert main(["compare", "--config", write_config(tmp_path, strict)]) == 1
 
 
+def test_count_matrix_equals_count_above():
+    rng = np.random.default_rng(9)
+    measures = [PointMeasure.empty()]
+    for size in (1, 5, 60, 0, 300):
+        values = np.round(rng.standard_normal(size) * 2.0, 1)
+        measures.append(PointMeasure.from_locations(values[values != 0.0]))
+    atoms = np.concatenate([m.locations for m in measures])
+    xs = (-np.inf, *atoms[:: 7], 0.05, 1.0, np.inf)
+    counts = cli._count_matrix(measures, xs)
+    assert counts.dtype == np.int64 and counts.shape == (len(measures), len(xs))
+    assert counts.tolist() == [[m.count_above(x) for x in xs] for m in measures]
+
+
 def test_cli_compare_matches_general_statistics(tmp_path):
     # compare reads TV and every Laplace value off one count matrix per side;
     # the general path, on the same replications and limit draws, must give

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brwre.errors import SupportBelowRetention
-from brwre.measures import PointMeasure
+from brwre.measures import MeasureBlock, PointMeasure
 from brwre.stats import (
     Ecdf,
     TestFunction,
@@ -124,3 +124,31 @@ def test_laplace_counts_multiplicity():
     m = PointMeasure(np.array([2.0]), np.array([3]))
     f = TestFunction("indicator_above", 1.0, theta=0.5)
     assert laplace_estimate([m], f) == pytest.approx(math.exp(-1.5))
+
+
+def test_laplace_block_matches_per_measure_loop():
+    # 9 rows, empty ones at the front, in the middle and at the end, with
+    # coinciding values grouped into multiplicities
+    rng = np.random.default_rng(11)
+    rows = []
+    for size in (0, 3, 0, 40, 1, 0, 120, 25, 0):
+        values = np.round(rng.choice([-1.0, 1.0], size) * (rng.pareto(1.5, size) + 0.1), 1)
+        rows.append(PointMeasure.from_locations(values))
+    block = MeasureBlock(
+        np.concatenate([[0], np.cumsum([m.n_atoms for m in rows])]),
+        np.concatenate([m.locations for m in rows]),
+        np.concatenate([m.multiplicities for m in rows]),
+    )
+    assert block.multiplicities.max() > 1
+
+    def loop(measures, f):
+        return float(np.mean([np.exp(-m.integrate(f.eval(m.locations))) if m.n_atoms else 1.0 for m in measures]))
+
+    for theta in (1.0, 0.5, 2.5):
+        for kind in ("indicator_above", "indicator_below"):
+            f = TestFunction(kind, 0.4, theta=theta)
+            assert laplace_estimate(block, f) == loop(rows, f) == laplace_estimate(rows, f)
+    for theta in (0.3, 1.0, 7.0):
+        f = TestFunction("bump", 0.3, b=2.0, theta=theta)
+        assert laplace_estimate(block, f) == pytest.approx(loop(rows, f), rel=1e-12, abs=0.0)
+        assert laplace_estimate(rows, f) == laplace_estimate(block, f)
