@@ -337,28 +337,26 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
             leaf += x
             # the displacements are ours (see brood_flat): |x| overwrites them
             absx = np.abs(x, out=x)
+            arg = int(np.argmax(leaf))
+
+            def parent_of(i):
+                return np.searchsorted(ends, i + first_leaf, side="right")
         else:
             idx, parent, leaf, absx = sparse
-        big = absx > thr_jump
-        big_leaves += np.count_nonzero(big if thr_big == thr_jump else absx > thr_big)
-        if sparse is None:
-            big_parents = np.searchsorted(ends, np.flatnonzero(big) + first_leaf, side="right")
-        else:
-            big_parents = parent[big] + lo_parent
-        two_jump_leaves += np.count_nonzero(jumps[big_parents] == 1)
-        arg = int(np.argmax(leaf))
-        if sparse is not None:
             # the candidates are out of leaf order: the first argmax is the
             # lowest leaf index among the maxima
-            tied = np.flatnonzero(leaf == leaf[arg])
+            tied = np.flatnonzero(leaf == leaf.max())
             arg = int(tied[np.argmin(idx[tied])])
+
+            def parent_of(i):
+                return parent[i] + lo_parent
+        big = absx > thr_jump
+        big_leaves += np.count_nonzero(big if thr_big == thr_jump else absx > thr_big)
+        two_jump_leaves += np.count_nonzero(jumps[parent_of(np.flatnonzero(big))] == 1)
         if arg_value is None or leaf[arg] > arg_value:
             arg_value = leaf[arg]
             if config.track_argmax_jump:
-                if sparse is None:
-                    at = int(np.searchsorted(ends, first_leaf + arg, side="right"))
-                else:
-                    at = lo_parent + int(parent[arg])
+                at = int(parent_of(arg))
                 best_abs, best_gen = best
                 max_leaf_jump_gen = n if absx[arg] > best_abs[at] else int(best_gen[at])
         kept = leaf[np.abs(leaf, out=absx) > thr_big]

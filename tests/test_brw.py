@@ -553,7 +553,32 @@ def test_sparse_bounds_hold_leaves_on_them(branches, monkeypatch):
     assert got[1].tolist() == [80.0, 80.0] and got[2].tolist() == [-80.0, -80.0]
 
 
-@pytest.mark.parametrize("bad", ["nan_step", "inf_step", "neg_inf_step", "nan_position", "inf_position"])
+def test_sparse_bounds_hold_leaves_just_past_retention(branches, monkeypatch):
+    # thresholds 100 and s = 50, top_k 2: the two largest and smallest leaves,
+    # +-300.5, lie far past the retention threshold, so only the threshold's
+    # own bound keeps the leaves one ulp past +-100, small steps of parents at
+    # +-50.5 whose bounds fl(p + s) = 100.5 and fl(p + a) = -100.5 are within
+    # 1% of it
+    counts = np.ones(80, dtype=np.int64)
+    counts[[10, 20]] = 2
+    pos = np.linspace(-1.0, 1.0, 80)
+    pos[[10, 20, 30, 40]] = 300.0, -300.0, 50.5, -50.5
+    step = np.nextafter(np.nextafter(49.5, np.inf), np.inf)
+    assert 50.5 + step > 100.0
+    x = np.full(82, 0.5)
+    x[[21, 22]] = -0.5
+    x[32], x[42] = step, -step
+    best = (np.ones(80), np.ones(80, dtype=np.int16))
+    jumps = np.zeros(80, dtype=np.int16)
+    config = SimConfig(n=3, env=BINARY, disp=IID21, retain_delta=0.1, jump_eta=0.1, top_k=2)
+    feed_steps(monkeypatch, x)
+    got = brw._reduce_leaves(config, 1000.0, counts, pos, jumps, best, np.zeros(4, dtype=np.int64), None)
+    assert branches == [True]
+    assert_reduction_equal(config, got, dense_reduction(config, 1000.0, counts, pos, jumps, best, x))
+    assert got[0].multiplicities.tolist() == [2, 1, 1, 2]
+
+
+@pytest.mark.parametrize("bad",["nan_step", "inf_step", "neg_inf_step", "nan_position", "inf_position"])
 def test_non_finite_leaves_equal_dense_reduction(bad, branches, monkeypatch):
     monkeypatch.setattr(brw, "LEAF_CHUNK", 256)
     rng = np.random.default_rng(5)
