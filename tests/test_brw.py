@@ -578,7 +578,7 @@ def test_sparse_bounds_hold_leaves_just_past_retention(branches, monkeypatch):
     assert got[0].multiplicities.tolist() == [2, 1, 1, 2]
 
 
-@pytest.mark.parametrize("bad",["nan_step", "inf_step", "neg_inf_step", "nan_position", "inf_position"])
+@pytest.mark.parametrize("bad", ["nan_step", "inf_step", "neg_inf_step", "nan_position", "inf_position"])
 def test_non_finite_leaves_equal_dense_reduction(bad, branches, monkeypatch):
     monkeypatch.setattr(brw, "LEAF_CHUNK", 256)
     rng = np.random.default_rng(5)
