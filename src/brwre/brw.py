@@ -5,9 +5,13 @@ revisits the genealogy; a deliberately naive twin materialises the full
 labelled tree and recomputes everything from scratch.  Both run under one
 survival-restart driver and consume random draws in the identical order (per
 generation: child counts, then one uniform per displacement step), so equal
-seeds must give bit-identical outcomes.  The streaming simulator draws its
-leaf generation in brood-aligned chunks, which take the same uniforms with
-any bit generator (see _reduce_leaves).
+seeds must give bit-identical outcomes.  Big jumps are rare by design, and
+the streaming simulator pays for them by the jump where it can: a large inner
+generation whose particles seldom carry one holds only the indices of those
+that do (see _grow_jumps), and a sparse iid leaf chunk transforms only the
+residuals of its candidate steps.  It draws its leaf generation in
+brood-aligned chunks, which take the same uniforms with any bit generator
+(see _reduce_leaves).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .displacement import DisplacementModel, brood_flat, norming_constant
+from .displacement import DisplacementModel, Residuals, brood_flat, norming_constant
 from .environment import EnvironmentModel, EnvSequence, sample_env
 from .errors import PopulationCapExceeded, first_accepted
 from .measures import PointMeasure
@@ -140,13 +144,75 @@ def _replicate(config: SimConfig, rng, grow) -> BrwOutcome:
     return first_accepted(attempt, "survival restart of the simulated tree")
 
 
+# An inner generation of at least SPARSE_JUMPS_MIN children whose parents
+# carry a big jump at most JUMP_SHARE of the time holds its jump counters
+# sparse (see _grow_jumps).  Sparse and dense cost the same at a parent share
+# of about 0.1: on Poisson(2.5) broods with 1% fresh big steps and 2^14 to 2^20
+# parents, sparse took 0.19-0.45 of the dense time at shares up to 0.02,
+# 0.87-1.08 at 0.1 and 1.16-1.65 at 0.15; at the lowest share it took 0.71 on
+# 20 000 children, but 2.0 on 10 000 (2-vCPU x86-64 VM with AVX-512, numpy
+# 2.4.6).  Binary n = 12 never reaches the size (2048 leaf parents), and
+# mixture n = 16 parents carry a jump well under 1% of the time.
+SPARSE_JUMPS_MIN = 1 << 14
+JUMP_SHARE = 0.0625
+
+
+def _grow_jumps(jumps, counts, total: int, big):
+    """The big-jump counters of the children of one generation.
+
+    ``jumps`` are the parents' counters: dense, one int16 count per particle,
+    or sparse, a pair of the sorted indices of the particles with a big jump
+    on their path (the carriers) and their counts.  ``big`` flags the
+    children's big steps, and is overwritten.  A generation of at least
+    ``SPARSE_JUMPS_MIN`` children whose parents carry a jump at most
+    ``JUMP_SHARE`` of the time comes out sparse, any other dense.
+
+    A carrier's brood starts where the broods of it and of every later
+    parent end: one ``add.reduceat`` over the counts gives those sums, so no
+    offset of a non-carrier is formed.
+    """
+    sparse = isinstance(jumps, tuple)
+    carried = jumps[0].size if sparse else np.count_nonzero(jumps)
+    if total >= SPARSE_JUMPS_MIN and carried <= JUMP_SHARE * counts.size:
+        carriers = jumps[0] if sparse else np.flatnonzero(jumps)
+        held = jumps[1] if sparse else jumps[carriers]
+        brood = counts[carriers]
+        first = total - np.cumsum(np.add.reduceat(counts, carriers)[::-1])[::-1]
+        child = np.repeat(first - np.cumsum(brood) + brood, brood) + np.arange(int(brood.sum()))
+        held = np.repeat(held, brood) + big[child]
+        # the children with a big step of their own and no carrier parent
+        big[child] = False
+        fresh = np.flatnonzero(big)
+        at = np.searchsorted(child, fresh)
+        return np.insert(child, at, fresh), np.insert(held, at, 1)
+    if sparse:
+        carriers, held = jumps
+        jumps = np.zeros(counts.size, dtype=np.int16)
+        jumps[carriers] = held
+    jumps = np.repeat(jumps, counts)
+    jumps += big
+    return jumps
+
+
+def _jumps_of(jumps, parent):
+    """The big-jump counts of the particles ``parent``, dense or sparse
+    counters alike (see :func:`_grow_jumps`)."""
+    if not isinstance(jumps, tuple):
+        return jumps[parent]
+    carriers, held = jumps
+    if not carriers.size:
+        return np.zeros(np.shape(parent), dtype=np.int16)
+    at = np.minimum(np.searchsorted(carriers, parent), carriers.size - 1)
+    return np.where(carriers[at] == parent, held[at], 0)
+
+
 def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
     """Flat per-particle arrays, updated generation by generation.
 
-    Only the inner generations carry jump counters (and, when tracking, each
-    particle's biggest step and its generation).  The leaf generation is
-    never held whole: :func:`_reduce_leaves` draws, places and reduces it in
-    chunks.
+    Only the inner generations carry big-jump counters, dense or sparse
+    (:func:`_grow_jumps`), and, when tracking, each particle's biggest step
+    and its generation.  The leaf generation is never held whole:
+    :func:`_reduce_leaves` draws, places and reduces it in chunks.
     """
     n = config.n
     thr_jump = config.jump_eta * b
@@ -172,8 +238,7 @@ def _grow_streaming(config: SimConfig, env_seq: EnvSequence, b: float, rng):
         absx = np.abs(x, out=x)
         big = absx > thr_jump
         hist[g] = np.count_nonzero(big if thr_big == thr_jump else absx > thr_big)
-        jumps = np.repeat(jumps, counts)
-        jumps += big
+        jumps = _grow_jumps(jumps, counts, x.size, big)
         if track:
             best_abs = np.repeat(best_abs, counts)
             bigger = absx > best_abs
@@ -235,47 +300,62 @@ def _kth_extreme_leaf(p, brood, ends, first_leaf: int, x, k: int, top: bool, j: 
     return None
 
 
+def _steps_beyond(x, s: float):
+    """A lower bound on the chunk's steps ``x`` within [-s, s] and the sorted
+    indices of its steps beyond +-s, or None if a step is NaN."""
+    if isinstance(x, Residuals):
+        return x.beyond(s)
+    xmin = float(x.min())
+    # the min is NaN if any value is
+    if np.isnan(xmin):
+        return None
+    steps = x > s
+    if xmin < -s:
+        steps |= x < -s
+    return max(xmin, -s), np.flatnonzero(steps)
+
+
 def _candidate_leaves(p, brood, ends, first_leaf: int, x, s: float, thr_big: float, k: int):
     """The chunk's leaves that can matter, or None when every leaf is to be
     placed: when more than ``SPARSE_SHARE`` of the parents lie beyond +-s, or
     a position is not finite, or a step is NaN.
 
     ``p``, ``brood`` and ``ends`` are the chunk's parents' positions, brood
-    sizes and cumulative leaf counts (from ``first_leaf``), ``x`` its steps.
-    Returns the candidates' chunk leaf indices, their parents' chunk indices,
-    their positions and their |steps|, not in leaf order.
+    sizes and cumulative leaf counts (from ``first_leaf``), ``x`` its steps
+    (an array, or :class:`Residuals` of which only the candidates' steps are
+    transformed).  Returns the candidates' chunk leaf indices, their parents'
+    chunk indices, their positions and their |steps|, not in leaf order.
 
-    With a the chunk's smallest step clipped to [-s, s], a leaf of parent j
-    whose step is small (|x| <= s) lies in [fl(p_j + a), fl(p_j + s)], since
-    rounding is monotone.  So the candidates are every leaf whose step is not
-    small, and every leaf of each parent j with fl(p_j + s) >= U or
-    > ``thr_big``, or fl(p_j + a) <= L or < -``thr_big``, where U and L are
-    the k-th largest and smallest leaves of the parents with the highest and
-    lowest positions.  They hold every retained leaf, the k largest and the k
-    smallest (k leaves are >= U, k are <= L), and every leaf equal to the
-    maximum; big steps (|x| above the jump or the retention threshold, both
-    >= 2s) are theirs too.  A NaN step or position would break the order
-    that this rests on (argmax and partition put NaN first and last).
+    With a a lower bound on the chunk's steps within [-s, s] (of which every
+    one is >= -s), a leaf of parent j whose step is small (|x| <= s) lies in
+    [fl(p_j + a), fl(p_j + s)], since rounding is monotone.  So the
+    candidates are every leaf whose step is not small, and every leaf of each
+    parent j with fl(p_j + s) >= U or > ``thr_big``, or fl(p_j + a) <= L or
+    < -``thr_big``, where U and L are the k-th largest and smallest leaves of
+    the parents with the highest and lowest positions.  They hold every
+    retained leaf, the k largest and the k smallest (k leaves are >= U, k are
+    <= L), and every leaf equal to the maximum; big steps (|x| above the jump
+    or the retention threshold, both >= 2s) are theirs too.  A NaN step or
+    position would break the order that this rests on (argmax and partition
+    put NaN first and last).
     """
     if np.count_nonzero(p > s) + np.count_nonzero(p < -s) > SPARSE_SHARE * p.size:
         return None
-    xmin = float(x.min())
     high, low = int(p.argmax()), int(p.argmin())
-    # min and max are NaN if any value is
-    if np.isnan(xmin) or not (np.isfinite(p[high]) and np.isfinite(p[low])):
+    # argmax and argmin find a NaN if there is one
+    if not (np.isfinite(p[high]) and np.isfinite(p[low])):
         return None
+    beyond = _steps_beyond(x, s)
+    if beyond is None:
+        return None
+    a, step_leaf = beyond
     upper = _kth_extreme_leaf(p, brood, ends, first_leaf, x, k, True, high)
     lower = _kth_extreme_leaf(p, brood, ends, first_leaf, x, k, False, low)
     if upper is None or lower is None:
         return None
-    a = max(xmin, -s)
     upper = min(upper, np.nextafter(thr_big, np.inf))
     lower = max(lower, np.nextafter(-thr_big, -np.inf))
     wide = (p + s >= upper) | (p + a <= lower)
-    steps = x > s
-    if xmin < -s:
-        steps |= x < -s
-    step_leaf = np.flatnonzero(steps)
     step_parent = np.searchsorted(ends, step_leaf + first_leaf, side="right")
     # every leaf of a wide parent is a candidate already
     lone = ~wide[step_parent]
@@ -294,8 +374,9 @@ def _candidate_leaves(p, brood, ends, first_leaf: int, x, s: float, thr_big: flo
 def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, rng):
     """Draw, place and reduce the leaf generation in brood-aligned chunks.
 
-    ``counts`` are the leaves of each parent, whose position, big-jump count
-    and (when tracking) ``best = (biggest |step|, its generation)`` are given.
+    ``counts`` are the leaves of each parent, whose position, big-jump counts
+    (dense or sparse, see :func:`_grow_jumps`) and (when tracking) ``best =
+    (biggest |step|, its generation)`` are given.
     A chunk's leaves are its parents' positions repeated plus the chunk's
     displacements, and each chunk is reduced at once: the big-step histogram
     entry ``hist[n]``, the two-jump count, the retained positions, the
@@ -307,13 +388,14 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
 
     A chunk whose parents mostly lie within s = min(jump, retention
     threshold)/2 of 0 places only its candidate leaves
-    (:func:`_candidate_leaves`), which give the same reduction; any other
-    chunk places every leaf.
+    (:func:`_candidate_leaves`), which give the same reduction, and an iid
+    chunk then transforms only its candidates' residuals; any other chunk
+    places every leaf.
 
     The draws equal those of one :func:`draw_generation` call, with any bit
-    generator: :func:`brood_flat` draws one uniform per step, so the chunks'
-    consecutive draws take the values of one batched draw and leave ``rng``
-    where it would.
+    generator: :func:`brood_flat` draws one uniform per step, as steps or as
+    their residuals, so the chunks' consecutive draws take the values of one
+    batched draw and leave ``rng`` where it would.
     """
     n = config.n
     thr_jump = config.jump_eta * b
@@ -328,11 +410,13 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
     for lo_parent, hi_parent in zip(bounds[:-1], bounds[1:]):
         brood = counts[lo_parent:hi_parent]
         first_leaf = int(ends[lo_parent - 1]) if lo_parent else 0
-        x = brood_flat(config.disp, brood, rng)
-        k = min(config.top_k, x.size)
+        x = brood_flat(config.disp, brood, rng, residuals=True)
+        k = min(config.top_k, int(ends[hi_parent - 1]) - first_leaf)
         p = pos[lo_parent:hi_parent]
         sparse = _candidate_leaves(p, brood, ends[lo_parent:hi_parent], first_leaf, x, s, thr_big, k)
         if sparse is None:
+            if isinstance(x, Residuals):
+                x = x.steps()
             leaf = np.repeat(p, brood)
             leaf += x
             # the displacements are ours (see brood_flat): |x| overwrites them
@@ -352,7 +436,7 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
                 return parent[i] + lo_parent
         big = absx > thr_jump
         big_leaves += np.count_nonzero(big if thr_big == thr_jump else absx > thr_big)
-        two_jump_leaves += np.count_nonzero(jumps[parent_of(np.flatnonzero(big))] == 1)
+        two_jump_leaves += np.count_nonzero(_jumps_of(jumps, parent_of(np.flatnonzero(big))) == 1)
         if arg_value is None or leaf[arg] > arg_value:
             arg_value = leaf[arg]
             if config.track_argmax_jump:
@@ -377,8 +461,10 @@ def _reduce_leaves(config: SimConfig, b: float, counts, pos, jumps, best, hist, 
         bottoms.append(leaf[:k].copy())
 
     hist[n] = big_leaves
+    # every leaf of a parent with two big jumps has them too
+    carriers, held = jumps if isinstance(jumps, tuple) else (slice(None), jumps)
     diags = Diagnostics(
-        paths_with_two_big_jumps=int(counts[jumps >= 2].sum()) + int(two_jump_leaves),
+        paths_with_two_big_jumps=int(counts[carriers][held >= 2].sum()) + int(two_jump_leaves),
         big_jump_generations=hist,
         max_leaf_jump_gen=max_leaf_jump_gen,
     )

@@ -193,21 +193,69 @@ def _pareto(u: np.ndarray, inv_alpha: float) -> np.ndarray:
     return u
 
 
+class Residuals:
+    """The steps of one :func:`draw_steps` call, held as the residuals of its
+    uniforms and transformed only where they are read.
+
+    ``u`` are the residuals (the uniforms themselves at p = 1 or p = 0) and
+    ``cat`` the :func:`_invert` categories, or None.  ``self[i]`` is a fresh
+    array of the steps ``i`` (a slice or an index array), bit for bit those of
+    :meth:`steps`, which transforms every residual in place.
+    """
+
+    def __init__(self, model: DisplacementModel, u: np.ndarray, cat: Optional[np.ndarray]):
+        self.model, self.u, self.cat = model, u, cat
+
+    def _transform(self, u, cat) -> np.ndarray:
+        x = _pareto(u, 1.0 / self.model.alpha)
+        if self.model.mode == "discrete_angular":
+            return x
+        if cat is not None:
+            x *= _SIGNS[cat]
+        return np.negative(x, out=x) if self.model.p <= 0.0 else x
+
+    def __getitem__(self, i) -> np.ndarray:
+        return self._transform(np.array(self.u[i]), None if self.cat is None else self.cat[i])
+
+    def steps(self) -> np.ndarray:
+        """Every step, transformed in place: Pareto magnitudes u^(-1/alpha),
+        signed outside angular mode.  The residuals are gone afterwards."""
+        return self._transform(self.u, self.cat)
+
+    def beyond(self, s: float) -> Tuple[float, np.ndarray]:
+        """A lower bound on the signed steps within [-s, s], and the sorted
+        indices of the steps beyond +-s (outside angular mode).
+
+        A magnitude u^(-1/alpha) can exceed s only if u < s^(-alpha); a margin
+        of 1e-9 covers the rounding of both sides, and each such step is
+        confirmed on its transformed value.  Below s = 1 every magnitude
+        (>= 1) is beyond, and at s^(-alpha) = 0 (underflow) ``<=`` keeps the
+        infinite steps of u = 0.  The bound is 1 when no step is negative,
+        else -s.
+        """
+        limit = s ** -self.model.alpha * (1.0 + 1e-9) if s >= 1.0 else np.inf
+        i = np.flatnonzero(self.u <= limit)
+        i = i[np.abs(self[i]) > s]
+        negative = self.model.p <= 0.0 or (self.cat is not None and self.cat.any())
+        return (-s if negative else 1.0), i
+
+
+def draw_residuals(model: DisplacementModel, size: int, rng) -> Residuals:
+    """The residuals of ``size`` steps of :func:`draw_steps`, one uniform
+    each: each uniform's :func:`_invert` category is the sign or the atom,
+    and its residual gives the magnitude; at p = 1 or p = 0 the uniform
+    itself is the residual."""
+    u = rng.random(size)
+    cat = _invert(model._table, u) if model.mode == "discrete_angular" or 0.0 < model.p < 1.0 else None
+    return Residuals(model, u, cat)
+
+
 def draw_steps(model: DisplacementModel, size: int, rng) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """``size`` steps, one uniform each: a fresh array of Pareto magnitudes
     u^(-1/alpha) >= 1, signed outside angular mode, and the atom of each step
-    in angular mode (else None).  Each uniform's :func:`_invert` category is
-    the sign or the atom, and its residual gives the magnitude; at p = 1 or
-    p = 0 the uniform itself is the magnitude."""
-    u = rng.random(size)
-    angular = model.mode == "discrete_angular"
-    cat = _invert(model._table, u) if angular or 0.0 < model.p < 1.0 else None
-    x = _pareto(u, 1.0 / model.alpha)
-    if angular:
-        return x, cat
-    if cat is not None:
-        x *= _SIGNS[cat]
-    return (np.negative(x, out=x) if model.p <= 0.0 else x), None
+    in angular mode (else None), from :func:`draw_residuals`."""
+    r = draw_residuals(model, size, rng)
+    return r.steps(), (r.cat if model.mode == "discrete_angular" else None)
 
 
 def spread_broods(model: DisplacementModel, x: np.ndarray, atom: Optional[np.ndarray], counts) -> np.ndarray:
@@ -223,7 +271,7 @@ def spread_broods(model: DisplacementModel, x: np.ndarray, atom: Optional[np.nda
     return x[parent] * model.atom_matrix()[atom[parent], rank]
 
 
-def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
+def brood_flat(model: DisplacementModel, counts: np.ndarray, rng, residuals: bool = False):
     """Displacements for all children of one generation, parent by parent.
 
     ``counts[i]`` children for parent i; the result is flat, ordered by parent
@@ -235,11 +283,14 @@ def brood_flat(model: DisplacementModel, counts: np.ndarray, rng) -> np.ndarray:
     generator.
 
     The result is a fresh array that no one else references, so the caller
-    may overwrite it (the simulator writes |x| into it).
+    may overwrite it (the simulator writes |x| into it).  With ``residuals``
+    an iid generation's steps come as :class:`Residuals` instead, from the
+    same uniforms, transformed where they are read; other modes ignore it.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if model.mode == "iid":
-        return draw_steps(model, int(counts.sum()), rng)[0]
+        r = draw_residuals(model, int(counts.sum()), rng)
+        return r if residuals else r.steps()
     x, atom = draw_steps(model, counts.size, rng)
     if atom is not None:
         x *= model.radial_floor

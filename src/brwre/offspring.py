@@ -81,7 +81,7 @@ class CountTable:
         # inside bucket floor(c 2^16) unless c 2^16 is an integer
         scaled = self.cuts * _GUIDE_SIZE  # exact: a power of two
         counted_from = np.bincount(np.ceil(scaled).astype(np.intp), minlength=_GUIDE_SIZE)
-        self.guide = np.cumsum(counted_from[:_GUIDE_SIZE], dtype=np.int32)
+        self.guide = np.cumsum(counted_from[:_GUIDE_SIZE], dtype=np.intp)
         inside = scaled[(scaled < _GUIDE_SIZE) & (scaled != np.floor(scaled))]
         self.guide[inside.astype(np.intp)] = -1
         self.guide.flags.writeable = False
@@ -89,11 +89,10 @@ class CountTable:
     def draw(self, rng, size: int) -> np.ndarray:
         u = rng.random(size)
         # the bucket of each uniform is cast straight into an integer array,
-        # with no float copy of u, and freed once the guide is read
-        bucket = np.multiply(u, _GUIDE_SIZE, out=np.empty(size, dtype=np.intp), casting="unsafe")
-        counts = self.guide[bucket]
-        del bucket
-        counts = counts.astype(np.int64)
+        # with no float copy of u, and the guide is read into it in place:
+        # every bucket lies in [0, 2^16), so clipping never acts
+        counts = np.multiply(u, _GUIDE_SIZE, out=np.empty(size, dtype=np.intp), casting="unsafe")
+        np.take(self.guide, counts, out=counts, mode="clip")
         straddled = np.flatnonzero(counts < 0)
         counts[straddled] = np.searchsorted(self.cuts, u[straddled], side="right")
         return counts

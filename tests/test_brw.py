@@ -19,7 +19,7 @@ from brwre.brw import (
     simulate_naive,
 )
 from brwre.config import load_config
-from brwre.displacement import DisplacementModel, brood_flat
+from brwre.displacement import DisplacementModel, Residuals, brood_flat
 from brwre.environment import EnvironmentModel
 from brwre.errors import PopulationCapExceeded
 from brwre.measures import PointMeasure
@@ -278,10 +278,11 @@ def test_peak_memory_per_leaf():
 
 
 def test_count_draw_peak_memory_per_parent():
-    # a child-count draw holds the uniforms (8 bytes a parent), the bucket
-    # indices (8) and the guide's int32 categories (4), and then the int64
-    # counts (8) once the buckets are freed: 20 bytes a parent.  Forming the
-    # buckets through a float copy of the uniforms peaked at 24.
+    # a child-count draw holds the uniforms (8 bytes a parent) and the bucket
+    # indices (8), which the guide's categories overwrite in place to become
+    # the counts: 17.5 bytes a parent at its peak.  Reading the guide into a
+    # fresh int32 array and casting it to int64 peaked at 20, and forming the
+    # buckets through a float copy of the uniforms at 24.
     n = 1_000_000
     rng = np.random.default_rng(4)
     tracemalloc.start()
@@ -291,7 +292,7 @@ def test_count_draw_peak_memory_per_parent():
     finally:
         tracemalloc.stop()
     assert counts.size == n and counts.dtype == np.int64
-    assert peak / n < 21.0, peak / n
+    assert peak / n < 18.5, peak / n
 
 
 def test_peak_memory_per_leaf_in_small_chunks(monkeypatch):
@@ -358,7 +359,7 @@ def test_first_argmax_across_chunks(monkeypatch):
     # unit displacements make the leaves of parents 0 and 2 tie for the
     # maximum in different chunks: the first one's path is reported
     monkeypatch.setattr(brw, "LEAF_CHUNK", 2)
-    monkeypatch.setattr(brw, "brood_flat", lambda model, counts, rng: np.ones(int(counts.sum())))
+    monkeypatch.setattr(brw, "brood_flat", lambda model, counts, rng, residuals=False: np.ones(int(counts.sum())))
     cfg = SimConfig(n=3, env=BINARY, disp=IID21, seed=0)
     best = (np.array([2.0, 0.5, 3.0]), np.array([1, 2, 2], dtype=np.int16))
     atoms, top, bottom, diags = brw._reduce_leaves(
@@ -425,7 +426,7 @@ def feed_steps(monkeypatch, x):
     """Make each ``brood_flat`` call hand out the next steps of ``x``."""
     at = [0]
 
-    def next_steps(model, brood, rng):
+    def next_steps(model, brood, rng, residuals=False):
         at[0] += int(brood.sum())
         return x[at[0] - int(brood.sum()) : at[0]].copy()
 
@@ -611,6 +612,58 @@ def test_non_finite_leaves_equal_dense_reduction(bad, branches, monkeypatch):
         assert_reduction_equal(config, got, dense_reduction(config, b, counts, pos, jumps, best, x))
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero")
+@pytest.mark.parametrize("chunk", [1 << 17, 256])
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_leaf_residuals_at_the_candidate_threshold(p, alpha, chunk, branches, monkeypatch):
+    # both thresholds 2s, s = 20: a step lies beyond +-s only if its residual
+    # is below s^-alpha.  Residuals a few ulps either side of s^-alpha and of
+    # the 1e-9 margin above it, and 0 (an infinite step), go to leaves of
+    # parents at +-s (not beyond it) on the side of the step's sign: their
+    # bounds fl(p + s) reach the retention threshold 2s but not past it, so
+    # only a step beyond s retains such a leaf.  The parents' counters are
+    # given dense and sparse
+    monkeypatch.setattr(brw, "LEAF_CHUNK", chunk)
+    disp = DisplacementModel.iid(alpha, p)
+    config = SimConfig(n=6, env=MIXTURE, disp=disp, retain_delta=0.1, jump_eta=0.1, top_k=3)
+    b, s = 400.0, 20.0
+    rng = np.random.default_rng([int(4 * alpha), int(2 * p), chunk])
+    counts, pos, jumps, best = leaf_inputs(rng, "sparse", s, 2 * s, 4)
+    u = rng.random(int(counts.sum()))
+    cat = (rng.random(u.size) >= p).astype(np.intp) if 0.0 < p < 1.0 else None
+    special = [0.0]
+    for edge in (s ** -alpha, s ** -alpha * (1.0 + 1e-9)):
+        ulp = np.spacing(edge)
+        special += [edge + k * ulp for k in range(-16, 17)]
+    parents = np.flatnonzero((counts > 0) & (np.arange(counts.size) % 50 != 0))[1 :: 29][: len(special)]
+    leaves = np.cumsum(counts)[parents] - counts[parents]
+    u[leaves] = special
+    negative = np.full(u.size, p <= 0.0) if cat is None else cat.astype(bool)
+    pos[parents] = np.where(negative[leaves], -s, s)
+    x = Residuals(disp, u.copy(), None if cat is None else cat.copy()).steps()
+    assert np.isinf(x[leaves[0]]) and np.ptp(np.abs(x[leaves[1:]]) - s) > 0.0
+    want = dense_reduction(config, b, counts, pos, jumps, best, x)
+    carriers = np.flatnonzero(jumps)
+    for given in (jumps, (carriers, jumps[carriers])):
+        at = [0]
+
+        def next_residuals(model, brood, rng, residuals=False):
+            assert residuals
+            at[0] += int(brood.sum())
+            piece = slice(at[0] - int(brood.sum()), at[0])
+            return Residuals(model, u[piece].copy(), None if cat is None else cat[piece].copy())
+
+        monkeypatch.setattr(brw, "brood_flat", next_residuals)
+        del branches[:]
+        got = brw._reduce_leaves(config, b, counts, pos, given, best, np.zeros(7, dtype=np.int64), None)
+        assert branches and all(branches)
+        assert_reduction_equal(config, got, want)
+    # some leaves of the edge steps are retained, some not
+    edge_leaves = np.abs(pos[parents[1:]] + x[leaves[1:]])
+    assert np.any(edge_leaves > 2 * s) and np.any(edge_leaves <= 2 * s)
+
+
 def test_leaf_chunks_take_the_branch_their_density_gives(branches):
     # the golden listing's n = 18 binary scenarios (p = 1/2, two chunks) and
     # a mixture n = 16 replication place only candidate leaves; every n = 12
@@ -663,9 +716,9 @@ def test_chunked_leaves_equal_naive(disp, env, chunk, monkeypatch):
     monkeypatch.setattr(brw, "LEAF_CHUNK", chunk)
     calls = []
 
-    def traced_brood_flat(model, counts, rng):
+    def traced_brood_flat(model, counts, rng, **kw):
         calls.append(counts.size)
-        return brood_flat(model, counts, rng)
+        return brood_flat(model, counts, rng, **kw)
 
     monkeypatch.setattr(brw, "brood_flat", traced_brood_flat)
     for n, track in ((6, True), (5, False), (1, True)):
@@ -708,6 +761,54 @@ def test_chunked_stream_ends_where_the_batched_draws_leave_it(monkeypatch):
     assert fast.z[-1] > 10 * brw.LEAF_CHUNK
     assert outcomes_equal(fast, simulate_naive(cfg, slow_rng))
     np.testing.assert_equal(fast_rng.bit_generator.state, slow_rng.bit_generator.state)
+
+
+SPARSE_COUNTER_CASES = [
+    (DisplacementModel.iid(2.0, 0.0), MIXTURE),
+    (DisplacementModel.iid(2.0, 0.5), MIXTURE),
+    (IID21, MIXTURE),
+    (DisplacementModel.full_dep(2.0, 0.5), MIXTURE),
+    (DisplacementModel.diagonal_angular(2.0, 3, 0.5), EnvironmentModel.single(Binomial(3, 0.8))),
+]
+
+
+@pytest.mark.parametrize("disp, env", SPARSE_COUNTER_CASES, ids=lambda v: f"{v.mode}-{v.p:g}" if hasattr(v, "mode") else "")
+def test_sparse_jump_counters_equal_naive(disp, env, monkeypatch):
+    # with the size gate at 8 children, small trees hold their counters
+    # sparse from the third generation on; at jump_eta 0.2 the carriers pass
+    # JUMP_SHARE a few generations later and the counters turn dense again,
+    # and with every generation sparse at jump_eta 0.05 paths gather three or
+    # more big jumps
+    monkeypatch.setattr(brw, "SPARSE_JUMPS_MIN", 8)
+    seen = set()
+    grow, reduce = brw._grow_jumps, brw._reduce_leaves
+
+    def traced_grow(jumps, counts, total, big):
+        out = grow(jumps, counts, total, big)
+        seen.add((isinstance(jumps, tuple), isinstance(out, tuple)))
+        if isinstance(jumps, tuple) and isinstance(out, tuple):
+            if np.any(counts[jumps[0]] == 0):
+                seen.add("childless carrier")
+            seen.update(f"held {min(h, 3)}" for h in np.unique(out[1]).tolist())
+        return out
+
+    def traced_reduce(config, b, counts, pos, jumps, *rest):
+        out = reduce(config, b, counts, pos, jumps, *rest)
+        if isinstance(jumps, tuple) and out[3].paths_with_two_big_jumps:
+            seen.add("sparse two-jump leaves")
+        return out
+
+    monkeypatch.setattr(brw, "_grow_jumps", traced_grow)
+    monkeypatch.setattr(brw, "_reduce_leaves", traced_reduce)
+    for share, jump_eta in ((brw.JUMP_SHARE, 0.2), (1.0, 0.05)):
+        monkeypatch.setattr(brw, "JUMP_SHARE", share)
+        for track in (True, False):
+            cfg = SimConfig(n=7, env=env, disp=disp, jump_eta=jump_eta, seed=17, track_argmax_jump=track)
+            for r in range(4):
+                fast = simulate(cfg, replication_rng(17, r))
+                assert outcomes_equal(fast, simulate_naive(cfg, replication_rng(17, r))), (share, track, r)
+    assert {(False, True), (True, False), (True, True), "childless carrier"} <= seen, seen
+    assert {"held 1", "held 2", "held 3", "sparse two-jump leaves"} <= seen, seen
 
 
 def test_threaded_replications_match_serial():

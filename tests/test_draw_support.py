@@ -71,6 +71,31 @@ def test_child_count_guide_equals_cut_point_search(law):
     assert np.array_equal(draws, np.searchsorted(cuts, u, side="right"))
 
 
+@pytest.mark.parametrize("law", [Poisson(2.0), Geometric(0.6), Finite((0.25, 0.25, 0.5)), Finite((0.1, 0.2, 0.7))], ids=repr)
+def test_in_place_count_draw_equals_cut_point_search(law):
+    # the guide is read into the bucket array in place: over a million
+    # uniforms, every bucket's lower edge and the float on either side of it,
+    # uniforms spread over each straddled bucket and the cuts themselves
+    table = law._table
+    assert table.guide.dtype == np.intp
+    straddled = np.flatnonzero(table.guide < 0)
+    # the cuts of Finite((0.25, 0.25, 0.5)) lie on bucket edges
+    assert (straddled.size == 0) == (law == Finite((0.25, 0.25, 0.5)))
+    edges = np.arange(2 ** 16) / 2 ** 16
+    spread = ((straddled[:, None] + np.linspace(0.0, 1.0, 257)[:-1]) / 2 ** 16).ravel()
+    cuts = table.cuts
+    u = np.concatenate([
+        np.random.default_rng(11).random(1_000_000),
+        edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+        spread, cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
+    ])
+    u = u[u < 1.0]
+    assert u.size > 1_000_000
+    draws = law.sample_many(FixedUniforms(u), u.size)
+    assert draws.dtype == np.int64
+    np.testing.assert_array_equal(draws, np.searchsorted(table.cuts, u, side="right"))
+
+
 @pytest.mark.parametrize("law", TABLE_LAWS, ids=repr)
 def test_child_counts_at_top_uniform_take_last_table_category(law):
     last = law._table.cuts.size
